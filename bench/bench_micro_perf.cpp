@@ -141,14 +141,18 @@ void BM_SweepRunner_Throughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepRunner_Throughput)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
-// Fast-forward speedup pairs: a whole run() call, stepped (Arg 0) vs
-// event-horizon cycle skipping (Arg 1), on meshes with long quiescent
-// stretches. These are the ratios bench/check_perf_regression.py gates via
-// the "fast_forward_gates" entries in BENCH_hotpath.json: both sides run
-// fresh on the same machine, so no yardstick calibration is involved —
-// the pair must keep a minimum speedup, not an absolute time.
+// Scheduler speedup pairs: a whole run() call, stepped (Arg 0) vs the
+// active-set scheduler (Arg 1), on meshes that park for long stretches.
+// These are the ratios bench/check_perf_regression.py gates via the
+// "pair_gates" entries in BENCH_hotpath.json: both sides run fresh on the
+// same machine, so no yardstick calibration is involved — the pair must
+// keep a minimum speedup, not an absolute time.
+noc::SchedulerMode scheduler_arg(const benchmark::State& state) {
+  return state.range(0) != 0 ? noc::SchedulerMode::kActiveSet : noc::SchedulerMode::kStepped;
+}
+
 void BM_NetworkRun_IdleSensorWise(benchmark::State& state) {
-  const bool fast_forward = state.range(0) != 0;
+  const noc::SchedulerMode mode = scheduler_arg(state);
   for (auto _ : state) {
     noc::Network net(mesh_config(4, 4));
     const auto model = nbti::NbtiModel::calibrated({}, {});
@@ -156,7 +160,7 @@ void BM_NetworkRun_IdleSensorWise(benchmark::State& state) {
     pc.kind = core::PolicyKind::kSensorWise;
     core::PolicyGateController ctrl(net, pc, model, {}, nbti::PvConfig{}, 7);
     ctrl.attach();
-    net.set_fast_forward(fast_forward);
+    net.set_scheduler_mode(mode);
     net.run(20'000);
     benchmark::DoNotOptimize(net.skip_stats().skips);
   }
@@ -164,8 +168,8 @@ void BM_NetworkRun_IdleSensorWise(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkRun_IdleSensorWise)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-void BM_NetworkRun_LowLoadSensorWise(benchmark::State& state) {
-  const bool fast_forward = state.range(0) != 0;
+void BM_NetworkRun_LowLoadActiveSet(benchmark::State& state) {
+  const noc::SchedulerMode mode = scheduler_arg(state);
   for (auto _ : state) {
     noc::Network net(mesh_config(4, 4));
     const auto model = nbti::NbtiModel::calibrated({}, {});
@@ -174,26 +178,7 @@ void BM_NetworkRun_LowLoadSensorWise(benchmark::State& state) {
     core::PolicyGateController ctrl(net, pc, model, {}, nbti::PvConfig{}, 7);
     ctrl.attach();
     // Sparse traffic: packets are hundreds of cycles apart, so most of the
-    // run is quiescent gap — the regime lifetime studies live in.
-    traffic::install_uniform_traffic(net, 0.0005, 42);
-    net.set_fast_forward(fast_forward);
-    net.run(20'000);
-    benchmark::DoNotOptimize(net.skip_stats().skips);
-  }
-  state.SetItemsProcessed(state.iterations() * 20'000);
-}
-BENCHMARK(BM_NetworkRun_LowLoadSensorWise)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_NetworkRun_LowLoadActiveSet(benchmark::State& state) {
-  const noc::SchedulerMode mode =
-      state.range(0) != 0 ? noc::SchedulerMode::kActiveSet : noc::SchedulerMode::kStepped;
-  for (auto _ : state) {
-    noc::Network net(mesh_config(4, 4));
-    const auto model = nbti::NbtiModel::calibrated({}, {});
-    core::PolicyConfig pc;
-    pc.kind = core::PolicyKind::kSensorWise;
-    core::PolicyGateController ctrl(net, pc, model, {}, nbti::PvConfig{}, 7);
-    ctrl.attach();
+    // run is parked gap — the regime lifetime studies live in.
     traffic::install_uniform_traffic(net, 0.0005, 42);
     net.set_scheduler_mode(mode);
     net.run(20'000);
@@ -222,12 +207,10 @@ class OneHotSource final : public noc::ITrafficSource {
 };
 
 void BM_NetworkRun_OneHotCornerActiveSet(benchmark::State& state) {
-  // One permanently busy corner in an otherwise idle 16x16 mesh: global
-  // quiescence never holds, so the event-horizon engine degenerates to
-  // ~1x, while the active set steps only the corner's handful of
-  // components and parks the other ~250 routers.
-  const noc::SchedulerMode mode =
-      state.range(0) != 0 ? noc::SchedulerMode::kActiveSet : noc::SchedulerMode::kStepped;
+  // One permanently busy corner in an otherwise idle 16x16 mesh: the fabric
+  // never parks whole, so no cycle is jumped, yet the active set steps only
+  // the corner's handful of components and parks the other ~250 routers.
+  const noc::SchedulerMode mode = scheduler_arg(state);
   for (auto _ : state) {
     noc::Network net(mesh_config(16, 2));
     const auto model = nbti::NbtiModel::calibrated({}, {});
@@ -247,7 +230,7 @@ BENCHMARK(BM_NetworkRun_OneHotCornerActiveSet)->Arg(0)->Arg(1)->Unit(benchmark::
 // Routing-cost pair: the legacy per-flit coordinate arithmetic vs the
 // topology layer's precomputed-table load, over an identical mesh
 // destination stream. check_perf_regression.py gates the ratio (a
-// "fast_forward_gates" pair in BENCH_hotpath.json): replacing the RC-stage
+// "pair_gates" pair in BENCH_hotpath.json): replacing the RC-stage
 // arithmetic with a table must not have made mesh routing slower.
 void BM_RouteCompute_Arithmetic(benchmark::State& state) {
   const noc::NocConfig cfg = mesh_config(8, 4);
@@ -313,7 +296,7 @@ BENCHMARK(BM_LifetimeHierarchical)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond
 // copy every node's slice into its own vector) vs the NBTITRACE mmap'd
 // zero-copy path (one shared read-only mapping, per-source cursors). Both
 // sides drain the identical record stream through generate_burst; the
-// BENCH_hotpath.json "fast_forward_gates" entry gates the same-machine
+// BENCH_hotpath.json "pair_gates" entry gates the same-machine
 // ratio — the binary engine must beat the CSV baseline by the floor.
 struct TraceBenchData {
   std::string csv_path;

@@ -46,21 +46,21 @@ def load_reference(path):
     with open(path) as f:
         data = json.load(f)
     times = {name: row["after"]["real_time_ns"] for name, row in data["benchmarks"].items()}
-    return times, data.get("fast_forward_gates", [])
+    return times, data.get("pair_gates", [])
 
 
-def check_fast_forward_gates(fresh, gates):
+def check_pair_gates(fresh, gates):
     """Same-machine speedup floors: both sides of each pair come from the
     *fresh* run, so no calibration is involved and the check is immune to
-    machine-speed differences — only the ratio matters. Guards the
-    event-horizon fast-forward engine: if quiescence detection breaks (the
-    engine silently stops skipping) or skipping becomes as expensive as
+    machine-speed differences — only the ratio matters. Guards, among
+    others, the active-set scheduler: if parking breaks (the scheduler
+    silently steps everything) or skipping becomes as expensive as
     stepping, the pair collapses toward 1x and this fails."""
     failures = []
     for gate in gates:
         fast, slow = gate["fast"], gate["slow"]
         if fast not in fresh or slow not in fresh:
-            print(f"  SKIP fast-forward gate {slow} / {fast}: benchmark missing from fresh run")
+            print(f"  SKIP pair gate {slow} / {fast}: benchmark missing from fresh run")
             continue
         speedup = fresh[slow] / fresh[fast]
         verdict = "FAIL" if speedup < gate["min_speedup"] else "ok"
@@ -83,7 +83,7 @@ def main():
     args = parser.parse_args()
 
     fresh = load_times(args.fresh)
-    reference, ff_gates = load_reference(args.reference)
+    reference, pair_gates = load_reference(args.reference)
 
     # A reference may be gate-only (empty "benchmarks", e.g. BENCH_lifetime.json):
     # every check is then a same-machine pair ratio, so no calibration yardstick
@@ -97,7 +97,7 @@ def main():
 
     failures = []
     shared = sorted(set(fresh) & set(reference) - {args.calibrate})
-    if not shared and not ff_gates:
+    if not shared and not pair_gates:
         raise SystemExit("no shared benchmarks between fresh run and reference")
     for name in shared:
         ratio = fresh[name] / (reference[name] * scale)
@@ -106,21 +106,21 @@ def main():
         if ratio > args.threshold:
             failures.append(name)
 
-    ff_failures = []
-    if ff_gates:
-        print("\nfast-forward speedup gates (same-machine pair ratios):")
-        ff_failures = check_fast_forward_gates(fresh, ff_gates)
+    pair_failures = []
+    if pair_gates:
+        print("\nspeedup gates (same-machine pair ratios):")
+        pair_failures = check_pair_gates(fresh, pair_gates)
 
-    if failures or ff_failures:
+    if failures or pair_failures:
         if failures:
             print(f"\nperf smoke FAILED: {len(failures)} benchmark(s) regressed past "
                   f"{args.threshold}x: {', '.join(failures)}")
-        if ff_failures:
-            print(f"\nperf smoke FAILED: {len(ff_failures)} fast-forward gate(s) below their "
-                  f"speedup floor: {', '.join(ff_failures)}")
+        if pair_failures:
+            print(f"\nperf smoke FAILED: {len(pair_failures)} pair gate(s) below their "
+                  f"speedup floor: {', '.join(pair_failures)}")
         return 1
     print(f"\nperf smoke passed: {len(shared)} benchmarks within {args.threshold}x of reference"
-          + (f", {len(ff_gates)} fast-forward gates above their floors" if ff_gates else ""))
+          + (f", {len(pair_gates)} pair gates above their floors" if pair_gates else ""))
     return 0
 
 

@@ -26,7 +26,7 @@
 // (the printed results are unaffected). --resume restarts a later
 // invocation from such a file — the scenario/policy/workload flags must
 // match the snapshotting run, and the combined output is bit-identical to
-// an uninterrupted one (sim/snapshot.hpp, ARCHITECTURE.md §13).
+// an uninterrupted one (sim/snapshot.hpp, ARCHITECTURE.md §12).
 //
 // --dump-routes skips the simulation and prints the scenario's route table,
 // per-link VC-class/orientation inventory and CDG audit verdicts

@@ -101,24 +101,18 @@ struct RunnerOptions {
   sim::FaultPlan faults;
   /// Run the whole-network InvariantChecker every cycle (no flit in a gated
   /// buffer, credit conservation, no flit loss, no deadlock). Violations
-  /// are reported in RunResult::invariant_violations. Roughly doubles run
-  /// time; meant for tests and fault studies, not duty-cycle production.
+  /// are reported in RunResult::invariant_violations. The run steps cycle by
+  /// cycle under the selected scheduler, so under kActiveSet the checker
+  /// also audits that every parked component is provably idle. Roughly
+  /// doubles run time; meant for tests and fault studies, not duty-cycle
+  /// production.
   bool check_invariants = false;
-  /// Event-horizon fast-forwarding (Network::set_fast_forward): skip
-  /// provably quiescent stretches instead of stepping them. Results are
-  /// bit-identical either way (pinned by the golden/equivalence tests);
-  /// turn it off only to time or debug the literal per-cycle path. Ignored
-  /// (forced off) when check_invariants is set, which steps every cycle by
-  /// construction.
-  bool fast_forward = true;
-  /// Explicit scheduler selection. When set it wins over `fast_forward`
-  /// (which remains as the legacy two-state knob): kStepped / kFastForward /
-  /// kActiveSet. Unlike fast-forward, the active-set scheduler composes
-  /// with check_invariants — the checker then also audits that every parked
-  /// component is provably idle.
-  std::optional<noc::SchedulerMode> scheduler;
+  /// Execution engine (ARCHITECTURE.md §10). Results are bit-identical
+  /// under both (pinned by the golden and differential tests); kStepped,
+  /// the literal per-cycle loop, is there to time or debug the reference.
+  noc::SchedulerMode scheduler = noc::SchedulerMode::kActiveSet;
 
-  // --- checkpoint/restore (ARCHITECTURE.md §13) -------------------------------
+  // --- checkpoint/restore (ARCHITECTURE.md §12) -------------------------------
   /// Pause the run at this absolute cycle (warmup and measurement share one
   /// clock: 0 <= snapshot_at <= warmup + measure) and serialize the complete
   /// simulation into *snapshot_out (framed bytes, see sim/snapshot.hpp).

@@ -259,26 +259,23 @@ RunResult run_experiment(sim::Scenario scenario, PolicyKind policy, const Worklo
   }
   const std::string digest = config_digest(scenario, policy, workload, options);
 
+  if (options.resume_from) {
+    // Restore precedes scheduler selection: load_state rebuilds channel
+    // queues, and active-set entry afterwards reconstructs the wake state
+    // the snapshot deliberately omits.
+    sim::SnapshotReader reader = sim::open_snapshot(*options.resume_from, digest);
+    network.load_state(reader);
+    controller.load(reader);
+    reader.expect_end();
+    if (network.clock().now() > total_cycles)
+      throw sim::SnapshotError("snapshot cycle " + std::to_string(network.clock().now()) +
+                               " is past this scenario's horizon (" +
+                               std::to_string(total_cycles) + " cycles)");
+  }
+  network.set_scheduler_mode(options.scheduler);
+
   RunResult result;
   if (!options.check_invariants) {
-    if (options.resume_from) {
-      // Restore precedes scheduler selection: load_state rebuilds channel
-      // queues, and active-set entry afterwards reconstructs the wake state
-      // the snapshot deliberately omits.
-      sim::SnapshotReader reader = sim::open_snapshot(*options.resume_from, digest);
-      network.load_state(reader);
-      controller.load(reader);
-      reader.expect_end();
-      if (network.clock().now() > total_cycles)
-        throw sim::SnapshotError("snapshot cycle " + std::to_string(network.clock().now()) +
-                                 " is past this scenario's horizon (" +
-                                 std::to_string(total_cycles) + " cycles)");
-    }
-    if (options.scheduler)
-      network.set_scheduler_mode(*options.scheduler);
-    else
-      network.set_fast_forward(options.fast_forward);
-
     const auto save_snapshot = [&] {
       // Every run() segment ends with sync_stress_accounting(), so the lazy
       // stress state serialized here is already flushed through `now`.
@@ -327,10 +324,8 @@ RunResult run_experiment(sim::Scenario scenario, PolicyKind policy, const Worklo
     }
   } else {
     // Same schedule as run_with_warmup, with the invariant checker run
-    // after every cycle (it self-resyncs across the stats reset). step()
-    // honors the explicit scheduler choice (active-set steps one cycle of
-    // its scheduled components; fast-forward degenerates to stepped here).
-    if (options.scheduler) network.set_scheduler_mode(*options.scheduler);
+    // after every cycle (it self-resyncs across the stats reset). Under the
+    // active set, step() runs one cycle of the scheduled components.
     noc::InvariantChecker checker(network);
     network.set_measuring(false);
     for (sim::Cycle i = 0; i < scenario.warmup_cycles; ++i) {

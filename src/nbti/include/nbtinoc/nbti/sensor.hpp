@@ -56,10 +56,10 @@ class NbtiSensorBank {
   }
 
   /// Earliest cycle at which refresh_due() turns true — the bank's epoch
-  /// fence for the fast-forward engine. A refresh draws noise RNG and
-  /// re-reads elapsed time, so skipping across this cycle would shift the
-  /// whole measurement schedule; the engine instead skips *to* it and steps
-  /// it normally.
+  /// fence for the active-set scheduler's full-park jump. A refresh draws
+  /// noise RNG and re-reads elapsed time, so skipping across this cycle
+  /// would shift the whole measurement schedule; the jump instead lands *on*
+  /// it and steps it normally.
   sim::Cycle next_refresh_cycle() const {
     return refreshed_once_ ? last_refresh_ + config_.epoch_cycles : 0;
   }

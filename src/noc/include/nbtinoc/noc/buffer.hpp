@@ -59,7 +59,7 @@ class VcBuffer {
 
   /// Attaches the owning port's Gated-VC counter, bumped at gate() and
   /// released at wake(). The counter must outlive the buffer. Together with
-  /// the busy counter this gives the fast-forward engine an O(1) proof that
+  /// the busy counter this gives the active-set scheduler an O(1) proof that
   /// a port is in a gating fixed point (all VCs Recovery) without scanning.
   void attach_gated_counter(int* counter) { gated_counter_ = counter; }
 

@@ -76,8 +76,8 @@ class InputUnit {
   /// O(1) proof that this port sits in the gating fixed point of its last
   /// applied command: under an active policy everything gateable is gated
   /// (all VCs in Recovery, or the pool's whole shared region) with no wake
-  /// in flight; under the baseline nothing is gated. The quiescence /
-  /// fast-forward / parking proofs all reduce to this per-port predicate.
+  /// in flight; under the baseline nothing is gated. The active-set park
+  /// condition reduces to this per-port predicate.
   bool gating_fixed_point(bool active, int total_vcs) const {
     if (pool_ != nullptr) {
       if (pool_->waking_slots() != 0) return false;

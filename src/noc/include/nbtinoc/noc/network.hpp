@@ -37,18 +37,17 @@
 
 namespace nbtinoc::noc {
 
-/// Execution engines for Network::run(). All three are bit-identical in
-/// every observable (stats, duty cycles, RNG streams); they differ only in
-/// how much work each simulated cycle costs:
-///  - kStepped:     literal per-cycle execution of every component.
-///  - kFastForward: stepped, plus closed-form jumps across whole-network
-///                  quiescence (the PR 4 event-horizon engine).
-///  - kActiveSet:   event-driven — only routers/NIs with provable work are
-///                  stepped each cycle; wake events (channel deliveries,
-///                  source fires, reply posts) re-insert parked components,
-///                  and full quiescence degenerates to the same
-///                  event-horizon jump.
-enum class SchedulerMode { kStepped, kFastForward, kActiveSet };
+/// Execution engines for Network::run(). Both are bit-identical in every
+/// observable (stats, duty cycles, RNG streams); they differ only in how
+/// much work each simulated cycle costs:
+///  - kStepped:   literal per-cycle execution of every component — the
+///                reference every differential test compares against.
+///  - kActiveSet: event-driven — only routers/NIs with provable work are
+///                stepped each cycle; wake events (channel deliveries,
+///                source fires, reply posts) re-insert parked components,
+///                and a fully parked fabric jumps straight to its next
+///                event (heap wake, controller epoch, structural kill).
+enum class SchedulerMode { kStepped, kActiveSet };
 
 class Network {
  public:
@@ -103,9 +102,9 @@ class Network {
 
   /// Advances one cycle.
   void step();
-  /// Advances `cycles` cycles. With fast-forwarding enabled, provably
-  /// quiescent stretches are skipped in closed form (bit-identical results;
-  /// see quiescent()/next_event_horizon()).
+  /// Advances `cycles` cycles. Under kActiveSet, parked components are not
+  /// stepped and fully parked stretches are skipped in closed form
+  /// (bit-identical results).
   void run(sim::Cycle cycles);
   /// Runs `warmup` cycles with stress accounting frozen, then `measure`
   /// cycles with accounting enabled.
@@ -139,15 +138,16 @@ class Network {
   /// -Δ term of the invariant checker's conservation audit.
   std::uint64_t dropped_flits() const { return dropped_flits_total_; }
   /// Cycle of the next pending structural kill (kCycleNever when none) —
-  /// the fence both fast-forwarding engines must not jump across.
+  /// the fence the active-set scheduler's full-park jump never crosses.
   sim::Cycle next_structural_cycle() const { return next_structural_cycle_; }
 
-  // --- execution engines (sim::EventHorizon, sim::ActiveSet) -----------------
-  /// Selects the execution engine. Defaults to kStepped (step()-level tests
-  /// expect literal per-cycle execution); core::run_experiment picks via
-  /// RunnerOptions. Entering kActiveSet installs channel push hooks and
-  /// marks every component active (the first retire pass parks what it
-  /// can); leaving removes the hooks.
+  // --- execution engines (sim::ActiveSet, sim::EventHorizon) -----------------
+  /// Selects the execution engine. Defaults to kStepped (load_state and
+  /// step()-level tests expect literal per-cycle execution);
+  /// core::run_experiment defaults to kActiveSet via RunnerOptions.
+  /// Entering kActiveSet installs channel push hooks and marks every
+  /// component active (the first retire pass parks what it can); leaving
+  /// removes the hooks.
   ///
   /// kActiveSet caveat: when the *gate controller* carries a fault
   /// injector, the network must carry one with the same FaultPlan too —
@@ -156,12 +156,6 @@ class Network {
   /// installs both together.
   void set_scheduler_mode(SchedulerMode mode);
   SchedulerMode scheduler_mode() const { return scheduler_mode_; }
-
-  /// Legacy toggle: maps to kFastForward / kStepped.
-  void set_fast_forward(bool enabled) {
-    set_scheduler_mode(enabled ? SchedulerMode::kFastForward : SchedulerMode::kStepped);
-  }
-  bool fast_forward() const { return scheduler_mode_ == SchedulerMode::kFastForward; }
 
   // --- active-set introspection (oracle tests, invariant checker) ------------
   /// Membership of the active set for the *next* cycle to execute (the
@@ -175,8 +169,11 @@ class Network {
   bool ni_stepped(NodeId t) const { return stepped_nis_.contains(t); }
 
   /// True when router `id` sits in the per-port gating fixed point the park
-  /// condition (and quiescent()) require: every (vnet, class) record of a
-  /// port agrees, and the port is all-gated or all-idle accordingly.
+  /// condition requires: every (vnet, class) record of a port agrees, and
+  /// the port is all-gated (under an active gating command) or all-idle and
+  /// unGated (under the baseline) accordingly. Each policy's decide() is a
+  /// no-op on such a port (derived in ARCHITECTURE.md §10), so skipping the
+  /// decide call of a parked router is bit-exact.
   bool router_gating_fixed_point(NodeId id) const;
 
   struct SchedulerStats {
@@ -191,26 +188,8 @@ class Network {
   /// possibly parked server). No-op outside kActiveSet mode.
   void wake_terminal_at(NodeId t, sim::Cycle at);
 
-  /// O(channels + ports) proof that nothing observable can happen until an
-  /// external event: no flit or credit in flight, every NI empty and not
-  /// serializing, no fault injector, and every input port parked in its
-  /// gating fixed point (all VCs gated under an active gating command, or
-  /// all VCs idle-and-unGated under the baseline). Each policy's decide()
-  /// is a no-op on such a port (asserted by tests, derived in
-  /// ARCHITECTURE.md §9), so repeating step() until the next traffic/sensor
-  /// event only spins the clock.
-  bool quiescent() const;
-
-  /// Earliest cycle >= now at which anything observable can happen while
-  /// the mesh stays quiescent: min over every traffic source's
-  /// next_event_cycle() and the controller's (sensor refresh epochs; `now`
-  /// under fault injection). May conservatively undershoot — run() then
-  /// simply re-checks after stepping there. Non-const: sources pre-roll
-  /// their RNG streams to answer.
-  sim::Cycle next_event_horizon();
-
-  /// How often run() fast-forwarded and how many cycles it elided
-  /// (monotonic over the network's lifetime).
+  /// How often run() jumped a fully parked fabric ahead and how many cycles
+  /// it elided (monotonic over the network's lifetime).
   const sim::SkipStats& skip_stats() const { return skip_stats_; }
 
   // --- checkpoint/restore ----------------------------------------------------
@@ -220,7 +199,7 @@ class Network {
   /// record, the structural-kill cursor and the traffic sources. Scheduler
   /// bookkeeping (active sets, wake ring/heap, skip stats) is NOT saved: it
   /// is reconstructed exactly by re-entering the scheduler mode after load
-  /// (see ARCHITECTURE.md §13).
+  /// (see ARCHITECTURE.md §12).
   void save_state(sim::SnapshotWriter& w) const;
   /// Restores a snapshot into this freshly built network. Must run in
   /// kStepped mode (the construction default), after set_fault_injector and
@@ -251,11 +230,15 @@ class Network {
 
   // --- active-set scheduler ---------------------------------------------------
   /// One cycle stepping only active components (the kActiveSet step()).
-  void step_active();
+  /// `end` is the cycle the current run() segment stops at (kCycleNever for
+  /// a bare step()).
+  void step_active(sim::Cycle end);
   /// End-of-cycle bookkeeping: parks / keeps each active component, wakes
   /// neighbors of busy routers, schedules source wakes, and rotates the
-  /// wake ring into the next cycle's active sets.
-  void retire_active_cycle(sim::Cycle now);
+  /// wake ring into the next cycle's active sets. On a segment's last cycle
+  /// (now + 1 == end) idle NIs stay active instead of asking their sources
+  /// for a horizon: the next segment's first retire parks them.
+  void retire_active_cycle(sim::Cycle now, sim::Cycle end);
   /// Moves heap wakes due at `now` into the active sets.
   void drain_wakes(sim::Cycle now);
   void wake_router_at(NodeId id, sim::Cycle at);
@@ -287,8 +270,8 @@ class Network {
 
   Channel<GateCommand>& up_down_link_mutable(NodeId router, Dir port);
   /// Last applied gating mode (gating_active) per (router, port, vnet,
-  /// dateline class) — written by gating_stage, read by the quiescence
-  /// proof to pick which fixed point (all-gated vs all-idle) each port must
+  /// dateline class) — written by gating_stage, read by the park condition
+  /// to pick which fixed point (all-gated vs all-idle) each port must
   /// satisfy. Single-class topologies collapse the class axis.
   std::size_t gating_record_index(NodeId router, Dir port, int vnet, int cls) const {
     const auto ports = static_cast<std::size_t>(config_.ports_per_router());

@@ -93,7 +93,7 @@ class NetworkInterface {
   std::uint64_t drop_queued_unroutable();
 
   /// True when the NI holds no work at all: nothing queued and no packet
-  /// mid-serialization. Part of the O(nodes) quiescence proof — an idle NI
+  /// mid-serialization. Part of the NI park condition — an idle NI
   /// can neither inject a flit nor assert has_new_traffic() until its
   /// source generates again.
   bool idle() const { return !sending_ && queue_.empty(); }

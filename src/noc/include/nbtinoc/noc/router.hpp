@@ -110,8 +110,8 @@ class Router {
   /// under DOR; under the turn-model modes, adaptive-class packets pick the
   /// least-stressed admissible output (per-output forwarded-flit counters,
   /// lowest port on ties); on a degraded fabric, the up*/down* candidate
-  /// set replaces the turn model. Deterministic given router state, so all
-  /// three scheduler modes agree bit for bit.
+  /// set replaces the turn model. Deterministic given router state, so both
+  /// scheduler modes agree bit for bit.
   RouteEntry route_for(Dir in_port, const Flit& flit) const;
 
   /// Cumulative flits forwarded through cardinal output `out` — the

@@ -72,7 +72,7 @@ class SharedBufferPool {
   /// and the ceiling on simultaneously gated + waking slots.
   int shared_capacity() const { return num_slots_ - num_vcs_ * reserve_; }
 
-  // --- O(1) occupancy counters (quiescence / parking proofs) ----------------
+  // --- O(1) occupancy counters (parking proofs) ------------------------------
   int free_slots() const { return free_count_; }
   int occupied_slots() const { return occupied_count_; }
   int gated_slots() const { return gated_count_; }

@@ -53,9 +53,10 @@ class ITrafficSource {
   /// sim::kCycleNever if it never will.  Answers may be conservative (any
   /// cycle <= the true next event is safe — the caller simply re-asks after
   /// stepping there); they must never overshoot a real event.  The default
-  /// returns `now`, which disables fast-forwarding for sources that do not
-  /// implement the query.  Implementations must not change the source's
-  /// observable RNG consumption order relative to per-cycle stepping.
+  /// returns `now`, which keeps the NI stepping every cycle for sources
+  /// that do not implement the query.  Implementations must not change the
+  /// source's observable RNG consumption order relative to per-cycle
+  /// stepping.
   virtual sim::Cycle next_event_cycle(sim::Cycle now) { return now; }
 
   /// Checkpoint hooks. Stateless sources need nothing; stateful ones must

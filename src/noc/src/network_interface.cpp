@@ -176,7 +176,7 @@ void NetworkInterface::generate(sim::Cycle now) {
     if (unroutable(req.dst)) {
       // Degraded fabric: the destination tile is dead or disconnected.
       // Dropping at the source keeps has_new_traffic() truthful (a packet
-      // with no route would assert it forever and wedge quiescence).
+      // with no route would assert it forever and never let the port park).
       stats_->add(h_unroutable_);
       continue;
     }

@@ -61,9 +61,9 @@ std::string to_string(SensorFaultMode mode);
 
 /// One scheduled permanent *data-plane* failure. Unlike the probabilistic
 /// control-plane processes below, structural faults are explicit events at
-/// fixed cycles: every scheduler mode (stepped, fast-forward, active-set)
-/// applies them at the start of exactly that cycle, which is what keeps the
-/// three execution modes bit-identical through a kill.
+/// fixed cycles: both scheduler modes (stepped, active-set) apply them at
+/// the start of exactly that cycle, which is what keeps the two bit-identical
+/// through a kill.
 struct StructuralFault {
   Cycle cycle = 0;  ///< applied at the start of this cycle
   int router = 0;   ///< router owning the failed resource
@@ -116,8 +116,8 @@ struct FaultPlan {
   bool targets_port(int node, int port) const;
 
   /// True when any *control-plane* rate is nonzero. Control faults are the
-  /// probabilistic processes that pin targeted routers and disable
-  /// quiescence skipping; structural faults do not (they are fixed-cycle
+  /// probabilistic processes that pin targeted routers (which then never
+  /// park); structural faults do not (they are fixed-cycle
   /// events the schedulers fence on explicitly).
   bool control_enabled() const;
 

@@ -4,7 +4,7 @@
 // A snapshot captures every bit of observable simulation state — RNG
 // streams, per-transistor Vth, duty-cycle accumulators, controller state,
 // buffers, credits, in-flight channel payloads — so that a run resumed at
-// cycle N is bit-identical to one that never stopped (ARCHITECTURE.md §13).
+// cycle N is bit-identical to one that never stopped (ARCHITECTURE.md §12).
 //
 // Layout: the 8-byte magic "NBTISNAP", a u32 format version, a
 // config-digest string (canonical textual encoding of every knob that
@@ -43,7 +43,7 @@ class SnapshotError : public std::runtime_error {
 /// First 8 bytes of every snapshot file.
 inline constexpr std::string_view kSnapshotMagic = "NBTISNAP";
 /// Bump on any layout change; readers reject other versions outright.
-/// v2: GateCommand slot_form flag + shared-pool port state (ARCHITECTURE §15).
+/// v2: GateCommand slot_form flag + shared-pool port state (ARCHITECTURE §14).
 inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// Appends primitives to a growing byte buffer (little-endian).

@@ -41,7 +41,7 @@ class AppTrafficSource final : public noc::ITrafficSource {
 
   std::optional<noc::PacketRequest> maybe_generate(sim::Cycle now) override;
 
-  /// Next-fire query for the fast-forward engine. Pre-rolls the Markov
+  /// Next-fire query for the active-set scheduler. Pre-rolls the Markov
   /// chain (transition draw, then emission draw, per cycle — the exact
   /// stepped order) up to a bounded look-ahead, deferring the destination
   /// draws to consumption time so the RNG stream matches stepped execution.

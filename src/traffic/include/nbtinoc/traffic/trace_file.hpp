@@ -1,6 +1,6 @@
 #pragma once
 // NBTITRACE v1 — the zero-copy binary packet-trace format (ARCHITECTURE.md
-// §14). A trace file is opened once, mmap'd read-only, and shared by every
+// §13). A trace file is opened once, mmap'd read-only, and shared by every
 // TraceReplaySource, SweepRunner worker and fleet shard through a
 // shared_ptr<const TraceFile>: replay touches the mapping directly (no
 // per-node vector copies, no steady-state allocations), so per-worker memory

@@ -130,7 +130,7 @@ void install_request_reply_traffic(noc::Network& network, RequestReplyConfig con
   // Under the active-set scheduler a parked server cannot discover a reply
   // posted by a remote requester on its own; the board pokes the network so
   // the server's NI is re-activated at the reply's ready_at. Harmless (and
-  // ignored) in stepped/fast-forward modes.
+  // ignored) in stepped mode.
   board->set_wake_sink([&network](noc::NodeId server, sim::Cycle ready_at) {
     network.wake_terminal_at(server, ready_at);
   });

@@ -212,24 +212,21 @@ void expect_run_equal(const core::RunResult& a, const core::RunResult& b,
   EXPECT_EQ(a.fault_counters, b.fault_counters);
 }
 
-/// Runs one scenario under all three scheduler modes and asserts the
-/// stepped / fast-forward / active-set results are bit-identical.
-void run_three_way(const sim::Scenario& s, core::PolicyKind policy,
-                   const core::Workload& workload, core::RunnerOptions options) {
+/// Runs one scenario under the stepped reference and the active-set
+/// scheduler and asserts the results are bit-identical.
+void expect_schedulers_agree(const sim::Scenario& s, core::PolicyKind policy,
+                             const core::Workload& workload, core::RunnerOptions options) {
   options.scheduler = SchedulerMode::kStepped;
   const core::RunResult stepped = core::run_experiment(s, policy, workload, options);
-  options.scheduler = SchedulerMode::kFastForward;
-  const core::RunResult skipped = core::run_experiment(s, policy, workload, options);
   options.scheduler = SchedulerMode::kActiveSet;
   const core::RunResult active = core::run_experiment(s, policy, workload, options);
-  expect_run_equal(stepped, skipped, "stepped vs fast-forward");
   expect_run_equal(stepped, active, "stepped vs active-set");
 }
 
-// Scheduler fuzz: the event-horizon engine and the active-set scheduler
-// both claim bit-identical results against literal stepping, for *any*
-// valid configuration — not just the golden scenario. Each seed derives a
-// random scenario/policy/workload pair and runs it three ways.
+// Scheduler fuzz: the active-set scheduler claims bit-identical results
+// against literal stepping for *any* valid configuration — not just the
+// golden scenario. Each seed derives a random scenario/policy/workload
+// pair and runs it both ways.
 class FastForwardFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FastForwardFuzzTest, SkippedExperimentsMatchSteppedExactly) {
@@ -237,8 +234,8 @@ TEST_P(FastForwardFuzzTest, SkippedExperimentsMatchSteppedExactly) {
   sim::Scenario s = sim::Scenario::synthetic(2 + static_cast<int>(rng.next_below(2)),
                                              1 + static_cast<int>(rng.next_below(3)),
                                              0.06 * rng.next_double());
-  // Low rates most of the time (that is where skipping engages); every
-  // fourth seed runs fully idle, where the engine must carry the whole run.
+  // Low rates most of the time (that is where parking engages); every
+  // fourth seed runs fully idle, where full-park jumps carry the whole run.
   if (GetParam() % 4 == 0) s.injection_rate = 0.0;
   s.num_vnets = 1 + static_cast<int>(rng.next_below(2));
   s.wakeup_latency = rng.next_below(4);
@@ -263,16 +260,16 @@ TEST_P(FastForwardFuzzTest, SkippedExperimentsMatchSteppedExactly) {
   SCOPED_TRACE("seed " + std::to_string(GetParam()) + ", " + s.name + ", policy " +
                core::to_string(policy));
 
-  run_three_way(s, policy, workload, core::RunnerOptions{});
+  expect_schedulers_agree(s, policy, workload, core::RunnerOptions{});
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomConfigs, FastForwardFuzzTest,
                          ::testing::Range<std::uint64_t>(1, 13));
 
-// Topology scheduler fuzz: the same three-way equality over the non-mesh
-// topologies — wrap links, dateline VC classes, and multi-NI local ports
-// all feed the quiescence proof and the active-set neighbor wakes, so each
-// must round-trip exactly.
+// Topology scheduler fuzz: the same equality over the non-mesh topologies —
+// wrap links, dateline VC classes, and multi-NI local ports all feed the
+// park condition and the active-set neighbor wakes, so each must
+// round-trip exactly.
 class TopologyFastForwardFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TopologyFastForwardFuzzTest, SkippedTopologyRunsMatchSteppedExactly) {
@@ -282,7 +279,7 @@ TEST_P(TopologyFastForwardFuzzTest, SkippedTopologyRunsMatchSteppedExactly) {
   constexpr const char* kTopologies[] = {"torus", "ring", "cmesh"};
   s.topology = kTopologies[GetParam() % 3];
   if (s.topology == "cmesh") s.concentration = 2;
-  if (GetParam() % 4 == 0) s.injection_rate = 0.0;  // fully idle: FF carries the run
+  if (GetParam() % 4 == 0) s.injection_rate = 0.0;  // fully idle: jumps carry the run
   s.num_vnets = 1 + static_cast<int>(rng.next_below(2));
   s.wakeup_latency = rng.next_below(4);
   s.warmup_cycles = 1'000;
@@ -300,32 +297,31 @@ TEST_P(TopologyFastForwardFuzzTest, SkippedTopologyRunsMatchSteppedExactly) {
   SCOPED_TRACE("seed " + std::to_string(GetParam()) + ", " + s.topology + ", policy " +
                core::to_string(policy));
 
-  run_three_way(s, policy, workload, core::RunnerOptions{});
+  expect_schedulers_agree(s, policy, workload, core::RunnerOptions{});
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTopologyConfigs, TopologyFastForwardFuzzTest,
                          ::testing::Range<std::uint64_t>(1, 13));
 
-// Fault storm, three ways: an untargeted fault plan forces the active-set
-// scheduler to pin every router (and the event horizon to `now`), so both
-// engines degenerate to literal stepping — and every fault RNG draw, drop,
-// flip, and quarantine decision must land identically.
-TEST(ThreeWayDifferential, FaultStormMatchesAcrossSchedulers) {
+// Fault storm: an untargeted fault plan forces the active-set scheduler to
+// pin every router, so it degenerates to literal stepping — and every fault
+// RNG draw, drop, flip, and quarantine decision must land identically.
+TEST(SchedulerDifferential, FaultStormMatchesAcrossSchedulers) {
   sim::Scenario s = sim::Scenario::synthetic(3, 2, 0.05);
   s.warmup_cycles = 500;
   s.measure_cycles = 6'000;
   core::RunnerOptions options;
   options.faults = sim::FaultPlan::uniform(0.02);
-  run_three_way(s, core::PolicyKind::kSensorWise, core::Workload::synthetic(), options);
+  expect_schedulers_agree(s, core::PolicyKind::kSensorWise, core::Workload::synthetic(), options);
 }
 
-// Structural kills, three ways: permanent link/router failures at fixed
-// mid-run cycles force an in-flight drain, a route-table regeneration and
-// (in active-set mode) a full-fabric wake in every scheduler mode — and the
-// degraded fabric must keep matching bit for bit afterwards. A final
-// stepped leg re-runs the same schedule under the InvariantChecker: zero
-// violations means the drain accounted for every purged flit and restored
-// every credit exactly.
+// Structural kills: permanent link/router failures at fixed mid-run cycles
+// force an in-flight drain, a route-table regeneration and (in active-set
+// mode) a full-fabric wake — and the degraded fabric must keep matching bit
+// for bit afterwards. A final leg re-runs the same schedule under the
+// InvariantChecker on the default (active-set) scheduler: zero violations
+// means the drain accounted for every purged flit, restored every credit
+// exactly, and every parked component stayed provably idle.
 class StructuralKillFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(StructuralKillFuzzTest, MidRunKillsMatchAcrossSchedulersAndKeepInvariants) {
@@ -369,10 +365,9 @@ TEST_P(StructuralKillFuzzTest, MidRunKillsMatchAcrossSchedulersAndKeepInvariants
                s.topology + ", routing " + s.routing + ", " +
                std::to_string(options.faults.structural.size()) + " kills");
 
-  run_three_way(s, core::PolicyKind::kSensorWise, core::Workload::synthetic(), options);
+  expect_schedulers_agree(s, core::PolicyKind::kSensorWise, core::Workload::synthetic(), options);
 
   options.check_invariants = true;
-  options.scheduler = SchedulerMode::kStepped;
   const core::RunResult checked =
       core::run_experiment(s, core::PolicyKind::kSensorWise, core::Workload::synthetic(), options);
   EXPECT_TRUE(checked.invariant_violations.empty())
@@ -388,22 +383,21 @@ TEST_P(StructuralKillFuzzTest, MidRunKillsMatchAcrossSchedulersAndKeepInvariants
 INSTANTIATE_TEST_SUITE_P(RandomKillSchedules, StructuralKillFuzzTest,
                          ::testing::Range<std::uint64_t>(1, 13));
 
-// All-gated fixed point, three ways: sensor-wise with zero offered load
-// drives every port to the fully gated state, where fast-forward jumps
-// epoch to epoch and the active set parks the entire fabric. The NBTI
-// accounting across those jumps must still match literal stepping bit for
-// bit over a long horizon.
-TEST(ThreeWayDifferential, AllGatedFixedPointMatchesAcrossSchedulers) {
+// All-gated fixed point: sensor-wise with zero offered load drives every
+// port to the fully gated state, where the active set parks the entire
+// fabric and jumps epoch to epoch. The NBTI accounting across those jumps
+// must still match literal stepping bit for bit over a long horizon.
+TEST(SchedulerDifferential, AllGatedFixedPointMatchesAcrossSchedulers) {
   sim::Scenario s = sim::Scenario::synthetic(3, 2, 0.0);
   s.warmup_cycles = 500;
   s.measure_cycles = 60'000;
-  run_three_way(s, core::PolicyKind::kSensorWise, core::Workload::synthetic(),
-                core::RunnerOptions{});
+  expect_schedulers_agree(s, core::PolicyKind::kSensorWise, core::Workload::synthetic(),
+                          core::RunnerOptions{});
 }
 
-// Shared-organization scheduler fuzz: the same three-way equality with
-// every input port running one DAMQ slot pool instead of per-VC banks.
-// Slot-granularity gating feeds different events into the quiescence proof
+// Shared-organization scheduler fuzz: the same equality with every input
+// port running one DAMQ slot pool instead of per-VC banks.
+// Slot-granularity gating feeds different events into the park condition
 // (pool credits, waking slots, slot-form GateCommands), so each scheduler
 // must reproduce them exactly. Only slot policies and baseline are legal
 // under this organization (run_experiment rejects the VC-granularity ones).
@@ -416,7 +410,7 @@ TEST_P(SharedPoolFastForwardFuzzTest, SharedRunsMatchSteppedExactly) {
                                              0.06 * rng.next_double());
   s.buffer_org = "shared";
   s.shared_reserve = 1 + static_cast<int>(rng.next_below(2));
-  if (GetParam() % 4 == 0) s.injection_rate = 0.0;  // fully idle: FF carries the run
+  if (GetParam() % 4 == 0) s.injection_rate = 0.0;  // fully idle: jumps carry the run
   s.wakeup_latency = rng.next_below(4);
   s.warmup_cycles = 1'000;
   s.measure_cycles = 8'000 + rng.next_below(8'000);
@@ -432,7 +426,7 @@ TEST_P(SharedPoolFastForwardFuzzTest, SharedRunsMatchSteppedExactly) {
   SCOPED_TRACE("seed " + std::to_string(GetParam()) + ", " + s.name + ", reserve " +
                std::to_string(s.shared_reserve) + ", policy " + core::to_string(policy));
 
-  run_three_way(s, policy, workload, core::RunnerOptions{});
+  expect_schedulers_agree(s, policy, workload, core::RunnerOptions{});
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSharedConfigs, SharedPoolFastForwardFuzzTest,
@@ -440,20 +434,20 @@ INSTANTIATE_TEST_SUITE_P(RandomSharedConfigs, SharedPoolFastForwardFuzzTest,
 
 // Fault storm on the shared organization: transient faults land on pool
 // slots (the slot-form modulus of the fault hook), so every drop and flip
-// must match across schedulers, and a stepped re-run under the
-// InvariantChecker must prove slot conservation and the M* credit bound
-// held through the whole storm.
-TEST(ThreeWayDifferential, SharedPoolFaultStormMatchesAcrossSchedulers) {
+// must match across schedulers, and a re-run under the InvariantChecker
+// must prove slot conservation and the M* credit bound held through the
+// whole storm.
+TEST(SchedulerDifferential, SharedPoolFaultStormMatchesAcrossSchedulers) {
   sim::Scenario s = sim::Scenario::synthetic(3, 2, 0.05);
   s.buffer_org = "shared";
   s.warmup_cycles = 500;
   s.measure_cycles = 6'000;
   core::RunnerOptions options;
   options.faults = sim::FaultPlan::uniform(0.02);
-  run_three_way(s, core::PolicyKind::kSensorWiseSlotMd, core::Workload::synthetic(), options);
+  expect_schedulers_agree(s, core::PolicyKind::kSensorWiseSlotMd, core::Workload::synthetic(),
+                          options);
 
   options.check_invariants = true;
-  options.scheduler = SchedulerMode::kStepped;
   const core::RunResult checked = core::run_experiment(
       s, core::PolicyKind::kSensorWiseSlotMd, core::Workload::synthetic(), options);
   EXPECT_TRUE(checked.invariant_violations.empty())
@@ -463,22 +457,22 @@ TEST(ThreeWayDifferential, SharedPoolFaultStormMatchesAcrossSchedulers) {
 
 // All-gated fixed point, shared organization: with zero offered load the
 // slot policy gates the pool down to the per-VC reserve and stays there —
-// the structural no-op fixed point of sensor_wise_slot_decide. Fast-forward
-// and the active set must carry the long quiescent horizon bit-exactly.
-TEST(ThreeWayDifferential, SharedAllGatedFixedPointMatchesAcrossSchedulers) {
+// the structural no-op fixed point of sensor_wise_slot_decide. The active
+// set must carry the long fully parked horizon bit-exactly.
+TEST(SchedulerDifferential, SharedAllGatedFixedPointMatchesAcrossSchedulers) {
   sim::Scenario s = sim::Scenario::synthetic(3, 2, 0.0);
   s.buffer_org = "shared";
   s.warmup_cycles = 500;
   s.measure_cycles = 60'000;
-  run_three_way(s, core::PolicyKind::kSensorWiseSlotMd, core::Workload::synthetic(),
-                core::RunnerOptions{});
+  expect_schedulers_agree(s, core::PolicyKind::kSensorWiseSlotMd, core::Workload::synthetic(),
+                          core::RunnerOptions{});
 }
 
 // Trace capture/replay fuzz: for random scenario/policy/workload draws,
 // record the live run through RunnerOptions::capture_trace, freeze it into
 // an NBTITRACE mapping, and demand (a) the replay reproduces the live run's
 // full result JSON bit for bit and (b) the replay itself is bit-identical
-// across all three scheduler modes.
+// across both scheduler modes.
 class TraceCaptureReplayFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TraceCaptureReplayFuzzTest, CapturedRunsReplayBitIdentically) {
@@ -530,7 +524,7 @@ TEST_P(TraceCaptureReplayFuzzTest, CapturedRunsReplayBitIdentically) {
   const core::RunResult replayed = core::run_experiment(s, policy, replay, options);
   expect_run_equal(live, replayed, "live vs trace replay");
 
-  run_three_way(s, policy, replay, core::RunnerOptions{});
+  expect_schedulers_agree(s, policy, replay, core::RunnerOptions{});
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomCaptures, TraceCaptureReplayFuzzTest,
@@ -538,10 +532,10 @@ INSTANTIATE_TEST_SUITE_P(RandomCaptures, TraceCaptureReplayFuzzTest,
 
 // run_experiment has no request/reply workload, so that source family gets
 // its scheduler equivalence pinned at the Network level: coupled requesters
-// and repliers across two vnets, run under all three schedulers. The
-// active-set leg leans on the ReplyBoard wake sink — a reply posted while
-// the server's NI is parked must still be served on time.
-TEST(FastForwardFuzz, RequestReplyTrafficMatchesStepped) {
+// and repliers across two vnets, run under both schedulers. The active-set
+// leg leans on the ReplyBoard wake sink — a reply posted while the server's
+// NI is parked must still be served on time.
+TEST(SchedulerFuzz, RequestReplyTrafficMatchesStepped) {
   const auto run_one = [](SchedulerMode mode) {
     NocConfig c;
     c.width = 3;
@@ -552,7 +546,7 @@ TEST(FastForwardFuzz, RequestReplyTrafficMatchesStepped) {
     c.packet_length = 4;
     Network net(c);
     traffic::RequestReplyConfig rr;
-    rr.request_rate = 0.004;  // sparse: long quiescent gaps between transactions
+    rr.request_rate = 0.004;  // sparse: long parked gaps between transactions
     traffic::install_request_reply_traffic(net, rr, 77);
     net.set_scheduler_mode(mode);
     net.run_with_warmup(1'000, 40'000);
@@ -568,15 +562,7 @@ TEST(FastForwardFuzz, RequestReplyTrafficMatchesStepped) {
     out.push_back(static_cast<double>(net.stats().counter("noc.packets_offered")));
     return out;
   };
-  const std::vector<double> stepped = run_one(SchedulerMode::kStepped);
-  const std::vector<double> skipped = run_one(SchedulerMode::kFastForward);
-  const std::vector<double> active = run_one(SchedulerMode::kActiveSet);
-  ASSERT_EQ(stepped.size(), skipped.size());
-  ASSERT_EQ(stepped.size(), active.size());
-  for (std::size_t i = 0; i < stepped.size(); ++i) {
-    EXPECT_EQ(stepped[i], skipped[i]) << "fast-forward index " << i;
-    EXPECT_EQ(stepped[i], active[i]) << "active-set index " << i;
-  }
+  EXPECT_EQ(run_one(SchedulerMode::kStepped), run_one(SchedulerMode::kActiveSet));
 }
 
 }  // namespace

@@ -121,15 +121,15 @@ TEST(Golden, DutyCyclesMatchCheckedInGolden) {
          << "If this change is intentional, regenerate with NBTINOC_UPDATE_GOLDEN=1 and commit.";
 }
 
-TEST(Golden, FastForwardOffMatchesGolden) {
-  // The event-horizon engine's hard guarantee, pinned from the other side:
-  // DutyCyclesMatchCheckedInGolden runs with fast_forward on (the
+TEST(Golden, SteppedMatchesGolden) {
+  // The active-set scheduler's hard guarantee, pinned from the other side:
+  // DutyCyclesMatchCheckedInGolden runs under the active set (the
   // RunnerOptions default), so re-running the same grid with the literal
   // per-cycle loop must reproduce the same golden bytes.
   if (std::getenv("NBTINOC_UPDATE_GOLDEN") != nullptr)
     GTEST_SKIP() << "golden file being regenerated by DutyCyclesMatchCheckedInGolden";
   SweepOptions options;
-  options.runner.fast_forward = false;
+  options.runner.scheduler = noc::SchedulerMode::kStepped;
   SweepRunner sweep{options};
   sweep.add_grid({golden_scenario()},
                  {PolicyKind::kBaseline, PolicyKind::kRrNoSensor,
@@ -142,7 +142,7 @@ TEST(Golden, FastForwardOffMatchesGolden) {
   std::stringstream buf;
   buf << in.rdbuf();
   EXPECT_EQ(actual, buf.str())
-      << "fast_forward=false must be bit-identical to the fast-forwarded golden run";
+      << "the stepped scheduler must be bit-identical to the active-set golden run";
 }
 
 TEST(Golden, ZeroRateFaultPlanMatchesGolden) {

@@ -17,11 +17,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "nbtinoc/core/controller.hpp"
+#include "nbtinoc/core/experiment.hpp"
 #include "nbtinoc/noc/network.hpp"
 #include "nbtinoc/sim/active_set.hpp"
 #include "nbtinoc/sim/fault_plan.hpp"
@@ -366,6 +368,64 @@ TEST(ActiveSetPrimitives, WakeHeapPopsInCycleOrderWithDuplicates) {
   std::vector<sim::Cycle> cycles;
   while (!heap.empty()) cycles.push_back(heap.pop().cycle);
   EXPECT_EQ(cycles, (std::vector<sim::Cycle>{10, 10, 20, 30}));
+}
+
+/// A uniform synthetic source that counts its horizon queries.
+class CountingSource final : public ITrafficSource {
+ public:
+  CountingSource(NodeId src, int width, std::uint64_t seed, int* queries)
+      : inner_(src, 0.05, 4,
+               traffic::DestinationPattern(traffic::PatternKind::kUniform, width, width), seed),
+        queries_(queries) {}
+  std::optional<PacketRequest> maybe_generate(sim::Cycle now) override {
+    return inner_.maybe_generate(now);
+  }
+  sim::Cycle next_event_cycle(sim::Cycle now) override {
+    ++*queries_;
+    return inner_.next_event_cycle(now);
+  }
+
+ private:
+  traffic::SyntheticSource inner_;
+  int* queries_;
+};
+
+TEST(ActiveSetOracle, SegmentEndLeavesIdleNisUnparked) {
+  // On the last cycle of a run() segment an idle NI stays active instead of
+  // asking its source for a horizon the segment never reaches (a pre-roll of
+  // up to 4096 draws). A one-cycle run therefore queries no source, and a
+  // run split anywhere stays bit-identical to the unsplit one.
+  EXPECT_EQ(core::RunnerOptions{}.scheduler, SchedulerMode::kActiveSet);
+  ScenarioSpec s;
+  s.rate = 0.0;  // the counting sources carry the traffic
+  const auto make = [&s](int* queries) {
+    auto twin = std::make_unique<Twin>(s);
+    for (NodeId t = 0; t < twin->net.nodes(); ++t)
+      twin->net.set_traffic_source(
+          t, std::make_unique<CountingSource>(t, s.width, 40 + static_cast<std::uint64_t>(t),
+                                              queries));
+    twin->net.set_scheduler_mode(SchedulerMode::kActiveSet);
+    return twin;
+  };
+  int one_cycle_queries = 0;
+  make(&one_cycle_queries)->net.run(1);
+  EXPECT_EQ(one_cycle_queries, 0);
+
+  int whole_queries = 0;
+  int split_queries = 0;
+  auto whole = make(&whole_queries);
+  auto split = make(&split_queries);
+  whole->net.run(3'000);
+  for (const sim::Cycle segment : {1, 1'233, 1'766}) split->net.run(segment);
+  EXPECT_GT(whole_queries, 0);  // parking mid-segment still asks
+  EXPECT_EQ(counter_fingerprint(split->net), counter_fingerprint(whole->net));
+  for (NodeId id = 0; id < whole->net.num_routers(); ++id)
+    for (int p = 0; p < kNumDirs; ++p) {
+      const Dir port = static_cast<Dir>(p);
+      if (!whole->net.router(id).has_input(port)) continue;
+      EXPECT_EQ(split->net.duty_cycles_percent(id, port), whole->net.duty_cycles_percent(id, port))
+          << "router " << id << " port " << p;
+    }
 }
 
 TEST(ActiveSetOracle, ModeRoundTripKeepsStepping) {

@@ -103,55 +103,34 @@ TEST(HotPathAllocation, LoadedSensorWiseSteadyStateIsAllocationFree) {
   EXPECT_EQ(allocations_during_steps(net, 2'500), 0u);
 }
 
-TEST(HotPathAllocation, FastForwardRunIsAllocationFree) {
-  // The fast-forward machinery itself — quiescence proof, event-horizon
-  // aggregation, and the sources' Bernoulli pre-roll — must stay off the
-  // heap: a skip is supposed to be cheaper than the cycles it elides.
-  Network net(mesh(4, 4));
-  const auto model = nbti::NbtiModel::calibrated({}, {});
-  core::PolicyConfig pc;
-  pc.kind = core::PolicyKind::kSensorWise;
-  core::PolicyGateController ctrl(net, pc, model, {}, nbti::PvConfig{}, 7);
-  ctrl.attach();
-  // Low enough load that long quiescent stretches separate the packets.
-  traffic::install_uniform_traffic(net, 0.005, 42);
-  net.set_fast_forward(true);
-  // The warm window is long: at this rate packets are rare, so the peak
-  // ring/queue occupancies (which bound container growth) are only reached
-  // after many packet coincidences.
-  net.run(60'000);
-  const std::uint64_t skips_before = net.skip_stats().skips;
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  net.run(50'000);
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
-  // The audited window must actually have exercised the skip path.
-  EXPECT_GT(net.skip_stats().skips, skips_before);
-}
-
 TEST(HotPathAllocation, ActiveSetRunIsAllocationFree) {
   // The active-set scheduler's machinery — wake ring rotation, heap pops,
-  // park-eligibility checks, and the channel push hooks — must stay off
-  // the heap in steady state: the bitmap is sized at mode entry and the
-  // heap's capacity ratchets during warmup.
+  // park-eligibility checks, the channel push hooks, the full-park jump and
+  // the sources' Bernoulli pre-roll — must stay off the heap in steady
+  // state: the bitmap is sized at mode entry and the heap's capacity
+  // ratchets during warmup.
   Network net(mesh(4, 4));
   const auto model = nbti::NbtiModel::calibrated({}, {});
   core::PolicyConfig pc;
   pc.kind = core::PolicyKind::kSensorWise;
   core::PolicyGateController ctrl(net, pc, model, {}, nbti::PvConfig{}, 7);
   ctrl.attach();
+  // Low enough load that long fully parked stretches separate the packets.
   traffic::install_uniform_traffic(net, 0.005, 42);
   net.set_scheduler_mode(SchedulerMode::kActiveSet);
   // Long warm window: at this rate the peak wake-heap occupancy is only
   // reached after many packet coincidences.
   net.run(60'000);
   const auto steps_before = net.scheduler_stats().router_steps;
+  const std::uint64_t skips_before = net.skip_stats().skips;
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   net.run(50'000);
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
-  // The audited window must have actually parked routers: far fewer router
-  // steps than a full walk would execute.
+  // The audited window must have actually parked routers — far fewer router
+  // steps than a full walk would execute — and jumped a fully parked fabric.
   EXPECT_LT(net.scheduler_stats().router_steps - steps_before,
             50'000u * static_cast<std::uint64_t>(net.num_routers()));
+  EXPECT_GT(net.skip_stats().skips, skips_before);
 }
 
 TEST(HotPathAllocation, TraceReplaySteadyStateIsAllocationFree) {
