@@ -123,13 +123,7 @@ int main(int argc, char** argv) {
       point.label = std::string(leg.label) + "-kills" + std::to_string(kills);
       core::RunnerOptions ropt;
       if (kills > 0) {
-        noc::NocConfig config;
-        config.width = s.mesh_width;
-        config.height = s.mesh_height;
-        config.topology = noc::parse_topology_kind(s.topology);
-        config.routing = leg.routing;
-        config.num_vcs = s.num_vcs;
-        ropt.faults.structural = make_schedule(config, kills, s);
+        ropt.faults.structural = make_schedule(core::noc_config_of(s), kills, s);
         if (kills == kTopLevelKills) {
           // One whole-router kill late in the run: router 0, a corner —
           // the mildest whole-router loss. Should the survivor graph still

@@ -1,7 +1,8 @@
 // Extension X11 — the lifetime figure. Evolves the NoC over multiple years
 // in epochs: simulate traffic, measure per-buffer duty, advance every
 // buffer's Vth (equivalent-age Eq.1 integration), re-seed the sensors with
-// the aged silicon and repeat. Prints the worst-VC Vth trajectory per policy
+// the aged silicon and repeat (core::LifetimeEngine at tolerance 0: a
+// cycle-accurate window every epoch). Prints the worst-VC Vth trajectory per policy
 // — the series a "Vth vs years" figure would plot — plus wear-migration
 // statistics.
 
@@ -14,7 +15,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "nbtinoc/core/lifetime.hpp"
+#include "nbtinoc/core/lifetime_engine.hpp"
 #include "nbtinoc/core/sweep.hpp"
 
 using namespace nbtinoc;
@@ -32,10 +33,11 @@ int main(int argc, char** argv) {
                           util::format_double(years_per_epoch, 2) + " years",
                       s, options);
 
-  core::LifetimeOptions lopt;
+  core::LifetimeEngineOptions lopt;
   lopt.epochs = epochs;
   lopt.years_per_epoch = years_per_epoch;
   lopt.measure_cycles_per_epoch = options.full ? 2'000'000 : options.measure / 2;
+  lopt.remeasure_tolerance_v = 0.0;
 
   const noc::PortKey sampled{0, noc::Dir::East};
 
@@ -49,8 +51,8 @@ int main(int argc, char** argv) {
   sweep_options.workers = options.workers;
   const core::SweepRunner pool(sweep_options);
   pool.for_each(policies.size(), [&](std::size_t i) {
-    results[i] = core::run_lifetime_study(s, policies[i], core::Workload::synthetic(), sampled,
-                                          lopt);
+    core::LifetimeEngine engine(s, policies[i], core::Workload::synthetic(), sampled, lopt);
+    results[i] = engine.run().study;
   });
   for (auto policy : policies) {
     header.push_back("worst Vth mV [" + to_string(policy) + "]");

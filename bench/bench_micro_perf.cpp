@@ -262,13 +262,14 @@ void BM_RouteCompute_Table(benchmark::State& state) {
 BENCHMARK(BM_RouteCompute_Table);
 
 // Hierarchical lifetime acceleration pair: the same 160-epoch aging study,
-// measuring every epoch (Arg 0, run_lifetime_study's stepped loop) vs one
-// cycle-accurate window amortized over the whole study by closed-form ΔVth
-// advancement (Arg 1, core::LifetimeEngine with the re-measure trigger
-// disarmed). check_perf_regression.py gates the same-machine ratio via
+// measuring every epoch (Arg 0, core::LifetimeEngine at tolerance 0 — the
+// exact study) vs one cycle-accurate window amortized over the whole study
+// by closed-form ΔVth advancement (Arg 1, the same engine with the
+// re-measure trigger disarmed). check_perf_regression.py gates the same-machine ratio via
 // BENCH_lifetime.json — the ≥50x floor is the point of the hierarchical
 // loop. Trajectory fidelity is pinned separately by lifetime_engine_test
-// (tolerance 0 is bit-exact; finite tolerances track within bound).
+// (tolerance 0 is the run_experiment composition; finite tolerances track
+// within bound).
 void BM_LifetimeHierarchical(benchmark::State& state) {
   const bool hierarchical = state.range(0) != 0;
   const sim::Scenario s = sim::Scenario::synthetic(2, 2, 0.2);
@@ -281,11 +282,12 @@ void BM_LifetimeHierarchical(benchmark::State& state) {
     opt.remeasure_tolerance_v = 1.0;
     opt.max_extrapolated_epochs = opt.epochs;
   } else {
-    opt.remeasure_tolerance_v = 0.0;  // = run_lifetime_study, bit for bit
+    opt.remeasure_tolerance_v = 0.0;  // the exact study: measure every epoch
   }
   for (auto _ : state) {
-    const auto r = core::run_hierarchical_lifetime(
-        s, core::PolicyKind::kSensorWise, core::Workload::synthetic(), {0, noc::Dir::East}, opt);
+    const auto r = core::LifetimeEngine(s, core::PolicyKind::kSensorWise,
+                                        core::Workload::synthetic(), {0, noc::Dir::East}, opt)
+                       .run();
     benchmark::DoNotOptimize(r.study.final_worst_vth_v);
   }
   state.SetItemsProcessed(state.iterations() * opt.epochs);

@@ -97,17 +97,10 @@ int main(int argc, char** argv) {
 
   // ... and the custom one wired manually (the lower-level API).
   {
-    const int ppf = s.phits_per_flit();
-    noc::NocConfig cfg;
-    cfg.width = s.mesh_width;
-    cfg.height = s.mesh_height;
-    cfg.num_vcs = s.num_vcs;
-    cfg.buffer_depth = s.buffer_depth * ppf;
-    cfg.packet_length = s.packet_length * ppf;
-    noc::Network net(cfg);
+    noc::Network net(core::noc_config_of(s));
     DutyBudgetController controller(net, budget);
     net.set_gate_controller(&controller);
-    traffic::install_uniform_traffic(net, s.injection_rate * ppf, s.traffic_seed());
+    traffic::install_uniform_traffic(net, s.injection_rate * s.phits_per_flit(), s.traffic_seed());
     net.run_with_warmup(s.warmup_cycles, s.measure_cycles);
 
     const auto duties = net.duty_cycles_percent(0, noc::Dir::East);

@@ -26,13 +26,7 @@ int main(int argc, char** argv) {
   const noc::PortKey key{0, noc::Dir::East};
 
   for (auto policy : {core::PolicyKind::kRrNoSensor, core::PolicyKind::kSensorWise}) {
-    const int ppf = s.phits_per_flit();
-    noc::NocConfig cfg;
-    cfg.width = s.mesh_width;
-    cfg.height = s.mesh_height;
-    cfg.num_vcs = s.num_vcs;
-    cfg.buffer_depth = s.buffer_depth * ppf;
-    cfg.packet_length = s.packet_length * ppf;
+    const noc::NocConfig cfg = core::noc_config_of(s);
     noc::Network net(cfg);
 
     const auto model = core::calibrated_model_of(s);
@@ -41,7 +35,7 @@ int main(int argc, char** argv) {
     core::PolicyGateController ctrl(net, pc, model, core::operating_point_of(s),
                                     core::pv_config_of(s), s.pv_seed());
     ctrl.attach();
-    traffic::install_uniform_traffic(net, s.injection_rate * ppf, s.traffic_seed());
+    traffic::install_uniform_traffic(net, s.injection_rate * s.phits_per_flit(), s.traffic_seed());
 
     noc::PortStateProbe probe(net, key);
     for (sim::Cycle t = 0; t < cycles; ++t) {

@@ -92,15 +92,7 @@ int main(int argc, char** argv) {
   }
 
   if (args.has("dump-routes")) {
-    noc::NocConfig config;
-    config.width = scenario.mesh_width;
-    config.height = scenario.mesh_height;
-    config.topology = noc::parse_topology_kind(scenario.topology);
-    config.routing = noc::parse_routing_algo(scenario.routing);
-    config.concentration = scenario.concentration;
-    config.num_vcs = scenario.num_vcs;
-    config.num_vnets = scenario.num_vnets;
-    const auto topo = noc::Topology::create(config);
+    const auto topo = noc::Topology::create(core::noc_config_of(scenario));
     std::cout << "--- routes (healthy) ---\n" << noc::describe_routes(*topo);
     if (const auto kills = args.get("kill")) {
       for (const std::string& token : util::split(*kills, ',')) {

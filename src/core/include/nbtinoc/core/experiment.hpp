@@ -157,6 +157,15 @@ std::string to_json(const RunResult& result);
 /// cycles. Allocator grants count VA (router + NI) and SA (= buffer reads).
 power::NocActivity activity_of(const RunResult& result);
 
+/// The network a scenario describes: topology, routing, concentration,
+/// buffer organization, wake latency, pipeline depth, and buffer depth /
+/// packet length / shared reserve scaled from flits to phits. The one
+/// scenario -> NocConfig mapping: run_experiment builds its network from it,
+/// and anything sampling silicon for a scenario (sample_network_vths) must
+/// too, so the sampled ports and bank sizes match the run's. Throws
+/// std::invalid_argument for router_stages < 3.
+noc::NocConfig noc_config_of(const sim::Scenario& scenario);
+
 /// Builds the operating point / PV config / calibrated model a scenario
 /// implies — exposed for benches that post-process duty cycles via Eq. 1.
 nbti::OperatingPoint operating_point_of(const sim::Scenario& scenario);

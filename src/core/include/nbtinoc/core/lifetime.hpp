@@ -1,11 +1,12 @@
 #pragma once
-// Multi-year lifetime study: closes the loop the single-shot experiment
-// leaves open.
+// Multi-year lifetime study results: the trajectory core::LifetimeEngine
+// (lifetime_engine.hpp) produces when it closes the loop the single-shot
+// experiment leaves open.
 //
 // run_experiment measures duty cycles on *fresh* silicon; over months of
 // operation, however, the accumulated Vth shift changes the sensor ranking,
 // the policies react to the new most-degraded VC, and wear redistributes.
-// The lifetime study alternates (simulate an epoch's traffic -> measure
+// A lifetime study alternates (simulate an epoch's traffic -> measure
 // per-buffer duty -> advance every buffer's Vth by the epoch length via the
 // equivalent-age method -> re-seed the sensors with the aged silicon) and
 // records the trajectory. This is the experiment the paper's methodology is
@@ -19,19 +20,14 @@
 
 namespace nbtinoc::core {
 
-struct LifetimeOptions {
-  int epochs = 12;
-  double years_per_epoch = 0.25;          ///< 12 x 0.25 = a 3-year study
-  sim::Cycle measure_cycles_per_epoch = 60'000;
-  RunnerOptions runner;                   ///< policy/sensor/nbti knobs
-};
-
 /// State of the sampled port after one epoch.
 struct LifetimeEpoch {
   double years_elapsed = 0.0;
   int most_degraded = 0;                 ///< per the aged silicon
-  std::vector<double> vth_v;             ///< absolute Vth per VC
-  std::vector<double> duty_percent;      ///< duty measured during the epoch
+  /// Absolute Vth and measured duty per gateable buffer: one per VC, or
+  /// one per pool slot under buffer_org=shared (buffers_per_port()).
+  std::vector<double> vth_v;
+  std::vector<double> duty_percent;
 };
 
 struct LifetimeResult {
@@ -46,11 +42,5 @@ struct LifetimeResult {
   /// Full final silicon (for chaining studies).
   std::map<noc::PortKey, std::vector<double>> final_vths;
 };
-
-/// Runs the epoch loop. Traffic is re-seeded per epoch (distinct stream,
-/// same statistics); the PV seed fixes the fresh silicon at year 0.
-LifetimeResult run_lifetime_study(sim::Scenario scenario, PolicyKind policy,
-                                  const Workload& workload, noc::PortKey sampled_port,
-                                  const LifetimeOptions& options = {});
 
 }  // namespace nbtinoc::core

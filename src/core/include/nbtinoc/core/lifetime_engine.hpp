@@ -1,14 +1,13 @@
 #pragma once
-// Hierarchical lifetime acceleration: the engine behind multi-year studies
-// that cannot afford a cycle-accurate measurement window for every epoch.
+// The lifetime engine: the one epoch loop behind every multi-year study
+// (lifetime.hpp), exact or accelerated.
 //
-// run_lifetime_study simulates traffic for *every* epoch. But the only
-// thing an epoch's simulation produces is the per-buffer duty-cycle
-// distribution — and as long as the silicon the policy reacts to has not
-// drifted appreciably since the last measurement, that distribution is
-// unchanged (the schedulers are deterministic functions of {silicon,
-// workload statistics}). The hierarchical loop exploits this: it simulates
-// a short cycle-accurate measurement window, then advances the closed-form
+// Each epoch's only product is the per-buffer duty-cycle distribution, and
+// as long as the silicon the policy reacts to has not drifted appreciably
+// since the last measurement, that distribution is unchanged (the
+// schedulers are deterministic functions of {silicon, workload
+// statistics}). The engine exploits this: it simulates a short
+// cycle-accurate measurement window, then advances the closed-form
 // reaction–diffusion ΔVth (equivalent-age method, AgingForecaster) across
 // epoch after epoch of virtual time *without touching the network*,
 // re-measuring only when the predicted Vth drift since the last
@@ -17,10 +16,14 @@
 // of measure_cycles_per_epoch simulated cycles — the ≥50x wall-clock lever
 // gated by BENCH_lifetime.json.
 //
-// Setting remeasure_tolerance_v = 0 forces a measurement every epoch,
-// which reproduces run_lifetime_study bit for bit (pinned by
-// lifetime_engine_test) — the hierarchical loop is an approximation knob,
-// not a different model.
+// Setting remeasure_tolerance_v = 0 forces a measurement every epoch: the
+// exact study. Its measured epoch k is one run_experiment call (warmup
+// measure/5, epoch-salted traffic, the silicon of a k-epoch study as
+// initial_vths), pinned by lifetime_engine_test's composition tests — the
+// tolerance is an approximation knob, not a different model.
+//
+// Silicon is sampled over noc_config_of(scenario), so every topology and
+// buffer organization run_experiment accepts ages here too.
 
 #include "nbtinoc/core/lifetime.hpp"
 
@@ -46,18 +49,18 @@ struct LifetimeEngineOptions {
 };
 
 struct LifetimeEngineResult {
-  /// Same shape as run_lifetime_study's output: per-epoch trajectory of
-  /// the sampled port plus the full final silicon. Extrapolated epochs
-  /// carry the duty distribution of the last measurement window.
+  /// Per-epoch trajectory of the sampled port plus the full final silicon
+  /// (one bank per run_experiment port). Extrapolated epochs carry the
+  /// duty distribution of the last measurement window.
   LifetimeResult study;
   int measured_epochs = 0;       ///< cycle-accurate windows actually simulated
   int extrapolated_epochs = 0;   ///< epochs advanced in closed form only
 };
 
-/// The hierarchical measure/advance loop. Construction precomputes the
-/// fresh silicon; run() executes the epochs. Measurement epochs use the
-/// exact per-epoch traffic salt of run_lifetime_study, so a measured epoch
-/// sees the same offered load the stepped study would have.
+/// The measure/advance loop. Construction precomputes the fresh silicon;
+/// run() executes the epochs. Measured epoch k salts the workload with
+/// 0x11d0 * (k + 1): its offered load depends on the epoch index alone,
+/// whichever epochs the tolerance chooses to measure.
 class LifetimeEngine {
  public:
   LifetimeEngine(sim::Scenario scenario, PolicyKind policy, Workload workload,
@@ -85,10 +88,5 @@ class LifetimeEngine {
   int measured_epochs_ = 0;
   int extrapolated_epochs_ = 0;
 };
-
-/// Convenience wrapper mirroring run_lifetime_study.
-LifetimeEngineResult run_hierarchical_lifetime(sim::Scenario scenario, PolicyKind policy,
-                                               const Workload& workload, noc::PortKey sampled_port,
-                                               const LifetimeEngineOptions& options = {});
 
 }  // namespace nbtinoc::core

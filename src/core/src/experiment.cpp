@@ -131,6 +131,35 @@ nbti::NbtiModel calibrated_model_of(const sim::Scenario& scenario, const nbti::N
   return nbti::NbtiModel::calibrated(params, operating_point_of(scenario));
 }
 
+noc::NocConfig noc_config_of(const sim::Scenario& scenario) {
+  // The network simulates in *phit* units — the quantum a 32b link moves per
+  // cycle (Table I: 64b flits, 32b links => 2 phits/flit). Packet length and
+  // buffer depth convert from flits; run_experiment converts the injection
+  // rate from flits/cycle to phits/cycle.
+  const int ppf = scenario.phits_per_flit();
+  noc::NocConfig config;
+  config.width = scenario.mesh_width;
+  config.height = scenario.mesh_height;
+  config.topology = noc::parse_topology_kind(scenario.topology);
+  config.routing = noc::parse_routing_algo(scenario.routing);
+  config.concentration = scenario.concentration;
+  config.num_vcs = scenario.num_vcs;
+  config.num_vnets = scenario.num_vnets;
+  config.buffer_depth = scenario.buffer_depth * ppf;
+  config.buffer_org = noc::parse_buffer_org(scenario.buffer_org);
+  // The reserve is a flit count in the scenario, a phit count in the
+  // network — the same scaling buffer_depth gets. Partitioned keeps the
+  // NocConfig default (the knob is inert there and its validator pins it).
+  if (config.buffer_org == noc::BufferOrg::kShared)
+    config.shared_reserve = scenario.shared_reserve * ppf;
+  config.packet_length = scenario.packet_length * ppf;
+  config.wakeup_latency = scenario.wakeup_latency;
+  if (scenario.router_stages < 3)
+    throw std::invalid_argument("noc_config_of: router_stages must be >= 3");
+  config.extra_pipeline_stages = scenario.router_stages - 3;
+  return config;
+}
+
 RunResult run_experiment(sim::Scenario scenario, PolicyKind policy, const Workload& workload,
                          const RunnerOptions& options) {
   if (options.paper_scale) scenario.use_paper_scale();
@@ -153,32 +182,8 @@ RunResult run_experiment(sim::Scenario scenario, PolicyKind policy, const Worklo
                                 "' cannot drive the shared organization (VC descriptors hold no "
                                 "gateable buffers); use sensor-wise-slot-md, rr-slot, or baseline");
 
-  // The network simulates in *phit* units — the quantum a 32b link moves per
-  // cycle (Table I: 64b flits, 32b links => 2 phits/flit). Packet length and
-  // buffer depth convert from flits; the injection rate converts from
-  // flits/cycle to phits/cycle below.
   const int ppf = scenario.phits_per_flit();
-  noc::NocConfig config;
-  config.width = scenario.mesh_width;
-  config.height = scenario.mesh_height;
-  config.topology = noc::parse_topology_kind(scenario.topology);
-  config.routing = noc::parse_routing_algo(scenario.routing);
-  config.concentration = scenario.concentration;
-  config.num_vcs = scenario.num_vcs;
-  config.num_vnets = scenario.num_vnets;
-  config.buffer_depth = scenario.buffer_depth * ppf;
-  config.buffer_org = noc::parse_buffer_org(scenario.buffer_org);
-  // The reserve is a flit count in the scenario, a phit count in the
-  // network — the same scaling buffer_depth gets. Partitioned keeps the
-  // NocConfig default (the knob is inert there and its validator pins it).
-  if (config.buffer_org == noc::BufferOrg::kShared)
-    config.shared_reserve = scenario.shared_reserve * ppf;
-  config.packet_length = scenario.packet_length * ppf;
-  config.wakeup_latency = scenario.wakeup_latency;
-  if (scenario.router_stages < 3)
-    throw std::invalid_argument("run_experiment: router_stages must be >= 3");
-  config.extra_pipeline_stages = scenario.router_stages - 3;
-
+  const noc::NocConfig config = noc_config_of(scenario);
   noc::Network network(config);
 
   const nbti::NbtiModel model = calibrated_model_of(scenario, options.nbti);

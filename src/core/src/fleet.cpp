@@ -121,11 +121,7 @@ FleetShardResult run_fleet_shard(const FleetSpec& spec, int shard_index, int sha
 
   // Per-chip silicon, sampled once per chip in this shard (chips repeat
   // across policy/workload groups).
-  noc::NocConfig net_config;
-  net_config.width = spec.scenario.mesh_width;
-  net_config.height = spec.scenario.mesh_height;
-  net_config.num_vcs = spec.scenario.num_vcs;
-  net_config.num_vnets = spec.scenario.num_vnets;
+  const noc::NocConfig net_config = noc_config_of(spec.scenario);
   const nbti::PvConfig pv = pv_config_of(spec.scenario);
 
   SweepOptions sweep_options;

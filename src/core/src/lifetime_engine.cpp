@@ -29,12 +29,8 @@ LifetimeEngine::LifetimeEngine(sim::Scenario scenario, PolicyKind policy, Worklo
   scenario_.warmup_cycles = options_.measure_cycles_per_epoch / 5;
   scenario_.measure_cycles = options_.measure_cycles_per_epoch;
 
-  noc::NocConfig net_config;
-  net_config.width = scenario_.mesh_width;
-  net_config.height = scenario_.mesh_height;
-  net_config.num_vcs = scenario_.num_vcs;
-  net_config.num_vnets = scenario_.num_vnets;
-  fresh_ = sample_network_vths(net_config, pv_config_of(scenario_), scenario_.pv_seed());
+  fresh_ = sample_network_vths(noc_config_of(scenario_), pv_config_of(scenario_),
+                               scenario_.pv_seed());
   if (!fresh_.count(sampled_port_))
     throw std::invalid_argument("LifetimeEngine: sampled port does not exist");
   for (const auto& [key, bank] : fresh_) {
@@ -51,9 +47,9 @@ void LifetimeEngine::measure(int epoch) {
     aged.resize(bank.size());
     for (std::size_t i = 0; i < bank.size(); ++i) aged[i] = bank[i] + dvth_.at(key)[i];
   }
-  // The exact per-epoch traffic salt of run_lifetime_study: a measured
-  // epoch here sees the identical offered load the stepped loop would, so
-  // tolerance 0 reproduces it bit for bit.
+  // Per-epoch traffic salt: every epoch sees a distinct stream with the same
+  // statistics, and a measured epoch's load depends only on its index — so
+  // epoch k of any study is one run_experiment call under this salt.
   Workload epoch_workload = workload_;
   epoch_workload.seed_salt ^= 0x11d0ULL * static_cast<std::uint64_t>(epoch + 1);
   const RunResult run = run_experiment(scenario_, policy_, epoch_workload, ropt);
@@ -95,8 +91,7 @@ LifetimeEngineResult LifetimeEngine::run() {
       ++epochs_since_measure;
     }
 
-    // Advance every buffer by the epoch length at its (last measured) duty
-    // — identical arithmetic to run_lifetime_study's per-epoch step.
+    // Advance every buffer by the epoch length at its (last measured) duty.
     for (auto& [key, shifts] : dvth_) {
       const auto& duty = duty_.at(key);
       for (std::size_t i = 0; i < shifts.size(); ++i)
@@ -129,12 +124,6 @@ LifetimeEngineResult LifetimeEngine::run() {
   out.measured_epochs = measured_epochs_;
   out.extrapolated_epochs = extrapolated_epochs_;
   return out;
-}
-
-LifetimeEngineResult run_hierarchical_lifetime(sim::Scenario scenario, PolicyKind policy,
-                                               const Workload& workload, noc::PortKey sampled_port,
-                                               const LifetimeEngineOptions& options) {
-  return LifetimeEngine(std::move(scenario), policy, workload, sampled_port, options).run();
 }
 
 }  // namespace nbtinoc::core

@@ -180,6 +180,52 @@ TEST(RunExperiment, BaselineActivityNeverGates) {
   EXPECT_EQ(a.gated_buffer_cycles, 0u);
 }
 
+TEST(NocConfigOf, ScalesFlitQuantitiesToPhits) {
+  sim::Scenario s = small_scenario();
+  s.topology = "cmesh";
+  s.concentration = 2;
+  s.routing = "yx";
+  s.buffer_org = "shared";
+  s.shared_reserve = 2;
+  s.wakeup_latency = 3;
+  s.router_stages = 5;
+  const noc::NocConfig c = noc_config_of(s);
+  const int ppf = s.phits_per_flit();
+  EXPECT_EQ(c.topology, noc::TopologyKind::kConcentratedMesh);
+  EXPECT_EQ(c.concentration, 2);
+  EXPECT_EQ(c.routing, noc::RoutingAlgo::kYX);
+  EXPECT_EQ(c.buffer_org, noc::BufferOrg::kShared);
+  EXPECT_EQ(c.buffer_depth, s.buffer_depth * ppf);
+  EXPECT_EQ(c.packet_length, s.packet_length * ppf);
+  EXPECT_EQ(c.shared_reserve, 2 * ppf);
+  EXPECT_EQ(c.wakeup_latency, 3u);
+  EXPECT_EQ(c.extra_pipeline_stages, 2);
+  s.router_stages = 2;
+  EXPECT_THROW(noc_config_of(s), std::invalid_argument);
+}
+
+// Silicon sampled over noc_config_of covers exactly the ports run_experiment
+// measures, with one Vth per gateable buffer — on every fabric.
+TEST(NocConfigOf, SampledSiliconCoversEveryMeasuredPort) {
+  for (const char* topology : {"mesh", "torus", "ring", "cmesh"}) {
+    for (const char* org : {"partitioned", "shared"}) {
+      sim::Scenario s = sim::Scenario::synthetic(4, 2, 0.1);
+      s.topology = topology;
+      s.concentration = s.topology == "cmesh" ? 2 : 1;
+      s.buffer_org = org;
+      s.warmup_cycles = 100;
+      s.measure_cycles = 500;
+      const auto vths = sample_network_vths(noc_config_of(s), pv_config_of(s), s.pv_seed());
+      const RunResult r = run_experiment(s, PolicyKind::kBaseline, Workload::synthetic());
+      ASSERT_EQ(vths.size(), r.ports.size()) << topology << "/" << org;
+      for (const auto& [key, port] : r.ports) {
+        ASSERT_TRUE(vths.count(key)) << topology << "/" << org;
+        EXPECT_EQ(vths.at(key).size(), port.initial_vth_v.size()) << topology << "/" << org;
+      }
+    }
+  }
+}
+
 TEST(CalibratedModel, AnchorsAtScenarioOperatingPoint) {
   const sim::Scenario s = small_scenario();
   const nbti::NbtiModel m = calibrated_model_of(s);

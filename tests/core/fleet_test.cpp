@@ -152,5 +152,31 @@ TEST(Fleet, GroupStatisticsAreOrderedAndBounded) {
   EXPECT_GE(report.groups()[1].median_years, report.groups()[0].median_years);
 }
 
+// Per-chip silicon is sampled over noc_config_of, so fleets run on every
+// fabric run_experiment accepts, not just the partitioned mesh.
+TEST(Fleet, RunsEveryTopologyAndBufferOrg) {
+  struct Fabric {
+    const char* topology;
+    const char* buffer_org;
+    PolicyKind policy;
+  };
+  for (const Fabric& f : {Fabric{"torus", "partitioned", PolicyKind::kSensorWise},
+                          Fabric{"cmesh", "partitioned", PolicyKind::kSensorWise},
+                          Fabric{"mesh", "shared", PolicyKind::kSensorWiseSlotMd}}) {
+    FleetSpec spec = small_spec();
+    spec.scenario = sim::Scenario::synthetic(4, 4, 0.1);
+    spec.scenario.topology = f.topology;
+    spec.scenario.concentration = spec.scenario.topology == "cmesh" ? 2 : 1;
+    spec.scenario.buffer_org = f.buffer_org;
+    spec.scenario.warmup_cycles = 200;
+    spec.scenario.measure_cycles = 1'000;
+    spec.policies = {f.policy};
+    spec.chips = 1;
+    const FleetReport report = run_fleet(spec, 1);
+    ASSERT_EQ(report.groups().size(), 1u) << f.topology << "/" << f.buffer_org;
+    EXPECT_GT(report.groups()[0].failure_years.at(0), 0.0);
+  }
+}
+
 }  // namespace
 }  // namespace nbtinoc::core
