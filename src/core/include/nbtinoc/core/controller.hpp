@@ -18,10 +18,12 @@
 namespace nbtinoc::core {
 
 /// Per-port sensor health tracking: when fault injection is active, the
-/// controller watches every port's Down_Up reports and demotes ports whose
-/// sensors stop making sense. A quarantined port runs the rr-no-sensor
-/// fallback (still gates, no longer trusts readings) until its sensors
-/// behave again — the graceful half of graceful degradation.
+/// controller watches the Down_Up reports of every port the fault plan
+/// targets and demotes ports whose sensors stop making sense. A quarantined
+/// port runs the sensor-less policy of its granularity (rr-no-sensor, or
+/// rr-slot under sensor-wise-slot-md: still gates, no longer trusts
+/// readings) until its sensors behave again — the graceful half of graceful
+/// degradation.
 struct HealthConfig {
   /// Plausibility window for a measured Vth (volts). Readings outside it
   /// are treated as sensor failure evidence, not as data. The defaults
@@ -116,8 +118,10 @@ class PolicyGateController final : public noc::IGateController {
   /// True while the port's sensors are distrusted and the rr fallback runs.
   bool quarantined(const noc::PortKey& key) const { return ports_.at(key).quarantined; }
   std::size_t quarantined_ports() const;
-  /// The reading the policy actually acts on (corrupted + possibly stale
-  /// under faults; equals sensors().measured_vth otherwise).
+  /// The reading every sensor policy acts on: the last delivered Down_Up
+  /// report. Equals sensors(key).measured_vth(vc) after every epoch unless
+  /// the installed fault plan targets the port (then possibly stale or
+  /// corrupted).
   double effective_vth(const noc::PortKey& key, int vc) const;
 
   /// Checkpoint of the controller's dynamic state: per-port sensor banks
@@ -133,29 +137,29 @@ class PolicyGateController final : public noc::IGateController {
   const std::vector<double>& initial_vths(const noc::PortKey& key) const;
   /// Most degraded VC over the whole port (reporting).
   int most_degraded(const noc::PortKey& key) const;
-  /// Most degraded VC within the view's subrange, in view-local coordinates
-  /// (what the per-vnet Down_Up comparator reports).
-  int local_most_degraded(const noc::PortKey& key, const noc::OutVcStateView& view) const;
 
  private:
   struct PortContext {
     std::vector<double> initial_vths;
     nbti::NbtiSensorBank sensors;
     /// What the upstream router believes the readings are: the last
-    /// *delivered* (possibly corrupted) Down_Up report. Mirrors
-    /// sensors.measured_vth exactly while no injector is installed.
+    /// *delivered* Down_Up report, the only readings a decision uses. Every
+    /// epoch copies the fresh readings in intact, except on a port the
+    /// fault plan targets, where faulted_epoch drops or corrupts them.
     std::vector<double> effective_vths;
     bool quarantined = false;
     int epochs_since_report = 0;  ///< staleness watchdog input
     int implausible_streak = 0;   ///< consecutive epochs with bad readings
     int healthy_streak = 0;       ///< consecutive clean epochs (recovery)
+
+    /// Delivers the bank's current readings unchanged.
+    void deliver_intact();
   };
 
   noc::GateCommand compute(const noc::PortKey& key, const noc::OutVcStateView& view,
                            bool new_traffic, sim::Cycle now);
-  /// most_degraded_in over effective (fault-corrupted) readings, same
-  /// lowest-index tie-break as the sensor bank's comparator tree.
-  int effective_local_most_degraded(const PortContext& ctx, const noc::OutVcStateView& view) const;
+  /// True when an enabled injector's plan covers this port.
+  bool fault_targets(const noc::PortKey& key) const;
   /// One Down_Up refresh epoch of `key` under the installed injector:
   /// fault-process step, report delivery/corruption, health bookkeeping.
   void faulted_epoch(const noc::PortKey& key, PortContext& ctx);
@@ -181,7 +185,7 @@ class PolicyGateController final : public noc::IGateController {
   sim::CounterHandle h_quarantines_;
   sim::CounterHandle h_recoveries_;
 
-  /// Scratch for the sensor-rank degradation vector (sized once; the
+  /// Scratch for sensor-rank's view-local readings (sized once; the
   /// per-decision fill must not allocate).
   std::vector<double> degradation_scratch_;
 

@@ -148,6 +148,15 @@ struct RunnerOptions {
 RunResult run_experiment(sim::Scenario scenario, PolicyKind policy, const Workload& workload,
                          const RunnerOptions& options = {});
 
+/// Human-readable digest of one run's configuration: every scenario field,
+/// the policy, the workload and every RunnerOptions field that shapes the
+/// object graph or any RNG stream (the scheduler mode is deliberately
+/// absent — results are identical under both). run_experiment embeds it in
+/// snapshot frames and rejects a resume under any other digest; the fleet
+/// digest is built from one per (policy, workload) cell.
+std::string config_digest(const sim::Scenario& scenario, PolicyKind policy,
+                          const Workload& workload, const RunnerOptions& options);
+
 /// Serializes a run to JSON (scenario, per-port duty cycles / initial Vth /
 /// MD VC, network counters) for downstream plotting and analysis tools.
 std::string to_json(const RunResult& result);

@@ -75,8 +75,10 @@ struct FleetShardResult {
   std::vector<FleetPointOutcome> outcomes;  ///< ascending global index
 };
 
-/// Canonical textual encoding of everything that determines fleet results;
-/// embedded in shard partials and checked at merge.
+/// Canonical textual encoding of everything that determines fleet results
+/// (one line): chips, budget, failure fraction and horizon, then the
+/// config_digest of every (policy, workload) cell. Embedded in shard
+/// partials and checked at merge.
 std::string fleet_digest(const FleetSpec& spec);
 
 /// Runs one shard of the fleet through SweepRunner (workers as given; 0 =

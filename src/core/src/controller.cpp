@@ -81,13 +81,16 @@ PolicyGateController::PolicyGateController(noc::Network& network, PolicyConfig c
   }
   util::SplitMix64 noise_seeder(noise_seed);
   for (auto& [key, bank_vths] : initial_vths) {
-    PortContext ctx{bank_vths, nbti::NbtiSensorBank(bank_vths, model, op, config_.sensor,
-                                                    noise_seeder.next())};
-    ctx.effective_vths.resize(ctx.sensors.size());
-    for (std::size_t i = 0; i < ctx.sensors.size(); ++i)
-      ctx.effective_vths[i] = ctx.sensors.measured_vth(i);
+    PortContext ctx{bank_vths,
+                    nbti::NbtiSensorBank(bank_vths, model, op, config_.sensor, noise_seeder.next()),
+                    std::vector<double>(bank_vths.size())};
+    ctx.deliver_intact();
     ports_.emplace(key, std::move(ctx));
   }
+}
+
+void PolicyGateController::PortContext::deliver_intact() {
+  for (std::size_t i = 0; i < effective_vths.size(); ++i) effective_vths[i] = sensors.measured_vth(i);
 }
 
 const char* PolicyGateController::name() const { return name_.c_str(); }
@@ -102,13 +105,6 @@ const std::vector<double>& PolicyGateController::initial_vths(const noc::PortKey
 
 int PolicyGateController::most_degraded(const noc::PortKey& key) const {
   return static_cast<int>(ports_.at(key).sensors.most_degraded());
-}
-
-int PolicyGateController::local_most_degraded(const noc::PortKey& key,
-                                              const noc::OutVcStateView& view) const {
-  const auto global = ports_.at(key).sensors.most_degraded_in(
-      static_cast<std::size_t>(view.first_vc()), static_cast<std::size_t>(view.num_vcs()));
-  return static_cast<int>(global) - view.first_vc();
 }
 
 noc::GateCommand PolicyGateController::decide(const noc::PortKey& key,
@@ -137,105 +133,61 @@ noc::GateCommand PolicyGateController::decide(const noc::PortKey& key,
   return held.command;
 }
 
-int PolicyGateController::effective_local_most_degraded(const PortContext& ctx,
-                                                        const noc::OutVcStateView& view) const {
-  int worst = 0;
-  for (int i = 1; i < view.num_vcs(); ++i)
-    if (ctx.effective_vths.at(static_cast<std::size_t>(view.global_vc(i))) >
-        ctx.effective_vths.at(static_cast<std::size_t>(view.global_vc(worst))))
-      worst = i;
-  return worst;
+bool PolicyGateController::fault_targets(const noc::PortKey& key) const {
+  return injector_ != nullptr && injector_->enabled() &&
+         injector_->plan().targets_port(static_cast<int>(key.router), static_cast<int>(key.port));
 }
 
 noc::GateCommand PolicyGateController::compute(const noc::PortKey& key,
                                                const noc::OutVcStateView& view, bool new_traffic,
                                                sim::Cycle now) {
-  // Under fault injection the sensor policies act on the *effective* (last
-  // delivered, possibly corrupted) readings, and a quarantined port runs
-  // the sensor-free rr fallback: keep gating, stop trusting. With no
-  // injector this block is dead and the paths below are bit-identical to
-  // the fault-free build.
-  // Targeted plans (FaultPlan::targets) confine the storm: an untargeted
-  // port never sees corrupted readings or quarantine and must take the
-  // fault-free paths below — its effective_vths are never refreshed.
-  const bool faulted = injector_ != nullptr && injector_->enabled() &&
-                       injector_->plan().targets_port(static_cast<int>(key.router),
-                                                     static_cast<int>(key.port));
-  const bool sensor_policy = config_.kind == PolicyKind::kSensorWiseNoTraffic ||
-                             config_.kind == PolicyKind::kSensorWise ||
-                             config_.kind == PolicyKind::kSensorRank ||
-                             config_.kind == PolicyKind::kSensorWiseSlotMd;
-  if (faulted && sensor_policy) {
-    const PortContext& ctx = ports_.at(key);
-    if (ctx.quarantined) {
-      if (config_.kind == PolicyKind::kSensorWiseSlotMd) {
-        // Slot policies fall back to the slot-form sensor-less baseline —
-        // the command stays in slot coordinates for this port's pool.
-        const noc::SharedBufferPool& pool = *view.unit()->pool();
-        const int candidate = static_cast<int>((now / config_.rr_rotation_period) %
-                                               static_cast<sim::Cycle>(pool.num_slots()));
-        return rr_slot_decide(pool, candidate, new_traffic);
-      }
-      const int candidate = static_cast<int>((now / config_.rr_rotation_period) %
-                                             static_cast<sim::Cycle>(view.num_vcs()));
-      return rr_no_sensor_decide(view, candidate, new_traffic);
-    }
-    switch (config_.kind) {
-      case PolicyKind::kSensorWiseNoTraffic:
-        return sensor_wise_decide(view, effective_local_most_degraded(ctx, view),
-                                  /*bool_traffic=*/true);
-      case PolicyKind::kSensorWise:
-        return sensor_wise_decide(view, effective_local_most_degraded(ctx, view), new_traffic);
-      case PolicyKind::kSensorWiseSlotMd: {
-        const noc::SharedBufferPool& pool = *view.unit()->pool();
-        degradation_scratch_.resize(ctx.effective_vths.size());
-        for (std::size_t s = 0; s < ctx.effective_vths.size(); ++s)
-          degradation_scratch_[s] = ctx.effective_vths[s];
-        return sensor_wise_slot_decide(pool, degradation_scratch_, new_traffic);
-      }
-      default: {
-        degradation_scratch_.resize(static_cast<std::size_t>(view.num_vcs()));
-        for (int i = 0; i < view.num_vcs(); ++i)
-          degradation_scratch_[static_cast<std::size_t>(i)] =
-              ctx.effective_vths.at(static_cast<std::size_t>(view.global_vc(i)));
-        return sensor_rank_decide(view, degradation_scratch_, new_traffic);
-      }
-    }
+  // Sensor policies act on the last delivered Down_Up report (effective_vths:
+  // intact off the fault plan, possibly stale or corrupted on a targeted
+  // port). A quarantined port keeps gating but stops trusting the report: it
+  // runs the sensor-less policy of its granularity. Baseline and the rr
+  // policies never look the port up.
+  PolicyKind kind = config_.kind;
+  const PortContext* ctx = nullptr;
+  if (kind != PolicyKind::kBaseline && kind != PolicyKind::kRrNoSensor &&
+      kind != PolicyKind::kRrSlot) {
+    ctx = &ports_.at(key);
+    if (ctx->quarantined && fault_targets(key))
+      kind = kind == PolicyKind::kSensorWiseSlotMd ? PolicyKind::kRrSlot : PolicyKind::kRrNoSensor;
   }
-  switch (config_.kind) {
+  const auto rr_candidate = [&](int n) {
+    return static_cast<int>((now / config_.rr_rotation_period) % static_cast<sim::Cycle>(n));
+  };
+  // View-local VC i's reading from the port's report.
+  const auto reading = [&](int i) {
+    return ctx->effective_vths[static_cast<std::size_t>(view.global_vc(i))];
+  };
+  switch (kind) {
     case PolicyKind::kBaseline:
       return noc::GateCommand{};
-    case PolicyKind::kRrNoSensor: {
-      const int candidate =
-          static_cast<int>((now / config_.rr_rotation_period) % static_cast<sim::Cycle>(view.num_vcs()));
-      return rr_no_sensor_decide(view, candidate, new_traffic);
-    }
-    case PolicyKind::kSensorWiseNoTraffic:
-      return sensor_wise_decide(view, local_most_degraded(key, view), /*bool_traffic=*/true);
-    case PolicyKind::kSensorWise:
-      return sensor_wise_decide(view, local_most_degraded(key, view), new_traffic);
-    case PolicyKind::kSensorRank: {
-      const auto& sensors = ports_.at(key).sensors;
-      degradation_scratch_.resize(static_cast<std::size_t>(view.num_vcs()));
-      for (int i = 0; i < view.num_vcs(); ++i)
-        degradation_scratch_[static_cast<std::size_t>(i)] =
-            sensors.measured_vth(static_cast<std::size_t>(view.global_vc(i)));
-      return sensor_rank_decide(view, degradation_scratch_, new_traffic);
-    }
-    case PolicyKind::kSensorWiseSlotMd: {
-      const auto& sensors = ports_.at(key).sensors;
-      const noc::SharedBufferPool& pool = *view.unit()->pool();
-      degradation_scratch_.resize(sensors.size());
-      for (std::size_t s = 0; s < sensors.size(); ++s)
-        degradation_scratch_[s] = sensors.measured_vth(s);
-      return sensor_wise_slot_decide(pool, degradation_scratch_, new_traffic);
-    }
+    case PolicyKind::kRrNoSensor:
+      return rr_no_sensor_decide(view, rr_candidate(view.num_vcs()), new_traffic);
     case PolicyKind::kRrSlot: {
       const noc::SharedBufferPool& pool = *view.unit()->pool();
-      const int candidate = static_cast<int>((now / config_.rr_rotation_period) %
-                                             static_cast<sim::Cycle>(pool.num_slots()));
-      return rr_slot_decide(pool, candidate, new_traffic);
+      return rr_slot_decide(pool, rr_candidate(pool.num_slots()), new_traffic);
     }
+    case PolicyKind::kSensorWiseNoTraffic:
+    case PolicyKind::kSensorWise: {
+      // The per-vnet Down_Up comparator: lowest index wins ties, like the
+      // sensor bank's comparator tree.
+      const int num_vcs = view.num_vcs();
+      int most_degraded = 0;
+      for (int i = 1; i < num_vcs; ++i)
+        if (reading(i) > reading(most_degraded)) most_degraded = i;
+      return sensor_wise_decide(view, most_degraded,
+                                kind == PolicyKind::kSensorWiseNoTraffic || new_traffic);
+    }
+    case PolicyKind::kSensorRank:
+      degradation_scratch_.resize(static_cast<std::size_t>(view.num_vcs()));
+      for (int i = 0; i < view.num_vcs(); ++i)
+        degradation_scratch_[static_cast<std::size_t>(i)] = reading(i);
+      return sensor_rank_decide(view, degradation_scratch_, new_traffic);
+    case PolicyKind::kSensorWiseSlotMd:
+      return sensor_wise_slot_decide(*view.unit()->pool(), ctx->effective_vths, new_traffic);
   }
   throw std::logic_error("PolicyGateController::decide: bad kind");
 }
@@ -261,13 +213,13 @@ void PolicyGateController::post_cycle(sim::Cycle now) {
     if (epoch) iu.sync_stress(now + 1);
     ctx.sensors.update(now, elapsed, iu.trackers());
     fence = std::min(fence, ctx.sensors.next_refresh_cycle());
-    if (!have_injector) continue;
-    // Targeted plans confine the fault machinery (and its RNG draws) to
-    // the ports the plan names; with an empty target list that is all of
-    // them, the pre-locality behavior.
-    if (!injector_->plan().targets_port(static_cast<int>(key.router),
-                                        static_cast<int>(key.port)))
+    // Down_Up delivery. Targeted plans confine the fault machinery (and its
+    // RNG draws) to the ports the plan names — with an empty target list
+    // that is all of them; every other port gets its report intact.
+    if (!fault_targets(key)) {
+      if (epoch) ctx.deliver_intact();
       continue;
+    }
     if (epoch) faulted_epoch(key, ctx);
     if (ctx.quarantined) network_->stats().add(h_quarantined_cycles_);
   }

@@ -1,5 +1,7 @@
 #include "nbtinoc/core/experiment.hpp"
 
+#include <cstdio>
+#include <initializer_list>
 #include <optional>
 #include <stdexcept>
 
@@ -11,11 +13,21 @@
 namespace nbtinoc::core {
 
 namespace {
-/// Human-readable configuration digest embedded in every snapshot frame and
-/// checked on restore: it must pin everything that shapes the object graph
-/// or any RNG stream, so a resume under a different configuration fails
-/// with both digests in the error instead of silently diverging. The
-/// scheduler mode is deliberately absent — snapshots restore under any mode.
+/// '/'-separated doubles in "%.17g", which round-trips every double (the
+/// JSON writer's format): a digest must tell apart any two values a
+/// configuration can hold.
+std::string nums(std::initializer_list<double> values) {
+  std::string out;
+  for (const double v : values) {
+    if (!out.empty()) out += '/';
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    out += buf;
+  }
+  return out;
+}
+}  // namespace
+
 std::string config_digest(const sim::Scenario& s, PolicyKind policy, const Workload& workload,
                           const RunnerOptions& options) {
   std::string d = "scenario=" + s.name;
@@ -24,19 +36,31 @@ std::string config_digest(const sim::Scenario& s, PolicyKind policy, const Workl
   d += " routing=" + s.routing;
   d += " vcs=" + std::to_string(s.num_vcs) + " vnets=" + std::to_string(s.num_vnets);
   d += " depth=" + std::to_string(s.buffer_depth) + " pkt=" + std::to_string(s.packet_length);
-  // Emitted only off the default so every partitioned digest — and with it
-  // every pre-DAMQ snapshot — keeps its exact byte string.
-  if (s.buffer_org != "partitioned")
-    d += " org=" + s.buffer_org + "/" + std::to_string(s.shared_reserve);
+  d += " org=" + s.buffer_org + "/" + std::to_string(s.shared_reserve);
+  d += " bits=" + std::to_string(s.flit_width_bits) + "/" + std::to_string(s.link_width_bits);
   d += " wake=" + std::to_string(s.wakeup_latency) + " stages=" + std::to_string(s.router_stages);
-  d += " rate=" + std::to_string(s.injection_rate);
+  d += " rate=" + nums({s.injection_rate});
   d += " warmup=" + std::to_string(s.warmup_cycles) + " measure=" + std::to_string(s.measure_cycles);
+  d += " clock=" + nums({s.clock_period_s});
+  d += " tech=" + std::to_string(s.tech.node_nm) + "nm/" +
+       nums({s.tech.vth_nominal_v, s.tech.vth_sigma_v, s.tech.vdd_v, s.tech.temperature_k});
   d += " seeds=" + std::to_string(s.pv_seed()) + "/" + std::to_string(s.traffic_seed()) + "/" +
        std::to_string(s.fault_seed());
   d += " policy=";
   d += to_string(policy);
-  d += " rr=" + std::to_string(options.policy.rr_rotation_period) +
-       " hold=" + std::to_string(options.policy.decision_period);
+  const PolicyConfig& p = options.policy;
+  d += " rr=" + std::to_string(p.rr_rotation_period) + " hold=" + std::to_string(p.decision_period);
+  d += " sensor=" + std::to_string(p.sensor.epoch_cycles) + "/" +
+       nums({p.sensor.quantization_v, p.sensor.noise_sigma_v, p.sensor.time_acceleration});
+  d += " health=" + nums({p.health.plausible_min_v, p.health.plausible_max_v}) + "/" +
+       std::to_string(p.health.implausible_epochs_to_quarantine) + "/" +
+       std::to_string(p.health.staleness_epochs) + "/" +
+       std::to_string(p.health.healthy_epochs_to_recover);
+  const nbti::NbtiParams& n = options.nbti;
+  d += " nbti=" + nums({n.n, n.tox_nm, n.te_nm, n.xi1, n.xi2, n.ea_ev, n.inv_t0_nm2_per_s,
+                        n.e0_v_per_nm, n.kv_prefactor, n.anchor_dvth_v, n.anchor_years,
+                        n.short_time_ramp_s});
+  if (options.paper_scale) d += " paper_scale";
   switch (workload.kind) {
     case Workload::Kind::kSynthetic:
       d += " workload=synthetic/" + std::to_string(static_cast<int>(workload.pattern));
@@ -56,14 +80,22 @@ std::string config_digest(const sim::Scenario& s, PolicyKind policy, const Workl
       break;
   }
   d += " salt=" + std::to_string(workload.seed_salt);
-  if (options.faults.enabled())
-    d += " faults=" + std::to_string(options.faults.seed_salt) + "/" +
-         std::to_string(options.faults.structural.size());
+  if (const sim::FaultPlan& f = options.faults; f.enabled()) {
+    d += " faults=" + std::to_string(f.seed_salt) + "/" +
+         nums({f.sensor_stuck_rate, f.sensor_drift_rate, f.sensor_death_rate,
+               f.sensor_repair_rate, f.drift_step_v, f.dead_reading_v, f.gate_cmd_drop_rate,
+               f.gate_cmd_flip_rate, f.down_up_drop_rate, f.wake_fail_rate});
+    // Sites and kills in plan order.
+    for (const auto& [router, port] : f.targets)
+      d += " target=" + std::to_string(router) + "/" + std::to_string(port);
+    for (const sim::StructuralFault& k : f.structural)
+      d += " kill=" + std::to_string(k.router) + "/" + std::to_string(k.port) + "@" +
+           std::to_string(k.cycle);
+  }
   if (!options.initial_vths.empty())
     d += " explicit_vths=" + std::to_string(options.initial_vths.size());
   return d;
 }
-}  // namespace
 
 Workload Workload::synthetic(traffic::PatternKind pattern) {
   Workload w;
@@ -279,74 +311,53 @@ RunResult run_experiment(sim::Scenario scenario, PolicyKind policy, const Worklo
   }
   network.set_scheduler_mode(options.scheduler);
 
-  RunResult result;
-  if (!options.check_invariants) {
-    const auto save_snapshot = [&] {
+  // One schedule for every run: warmup with stress accounting frozen, the
+  // stats reset, measurement. A resumed run enters it at the snapshot's
+  // cycle; its trackers carry their measuring flags, and a snapshot taken at
+  // or before the warmup boundary replays the boundary (a fresh run saves
+  // before the reset at snapshot_at == warmup). Splitting run(n) into
+  // run(k); run(n - k) is bit-identical in every mode: all scheduler state
+  // persists across run() calls and the end-of-segment stress sync is an
+  // additive flush. Under the active set, step() runs one cycle of the
+  // scheduled components, so the audited walk checks every cycle.
+  std::optional<noc::InvariantChecker> checker;
+  if (options.check_invariants) checker.emplace(network);
+  std::optional<sim::Cycle> pause = options.snapshot_at;
+  const auto advance_to = [&](sim::Cycle end) {
+    if (!checker) {
+      network.run(end - network.clock().now());
+      return;
+    }
+    while (network.clock().now() < end) {
+      network.step();
+      checker->check();
+    }
+  };
+  const auto run_until = [&](sim::Cycle end) {
+    if (pause && *pause <= end) {
+      advance_to(*pause);
       // Every run() segment ends with sync_stress_accounting(), so the lazy
       // stress state serialized here is already flushed through `now`.
       sim::SnapshotWriter writer;
       network.save_state(writer);
       controller.save(writer);
       *options.snapshot_out = sim::frame_snapshot(digest, writer.take());
-    };
-    if (!options.resume_from) {
-      // run_with_warmup, with an optional pause at snapshot_at. Splitting
-      // run(n) into run(k); run(n - k) is bit-identical in every mode: all
-      // scheduler state persists across run() calls and the end-of-segment
-      // stress sync is an additive flush.
-      const sim::Cycle snap = snapshotting ? *options.snapshot_at : total_cycles + 1;
-      network.set_measuring(false);
-      if (snap <= scenario.warmup_cycles) {
-        network.run(snap);
-        save_snapshot();
-        network.run(scenario.warmup_cycles - snap);
-      } else {
-        network.run(scenario.warmup_cycles);
-      }
-      network.stats().reset();
-      network.set_measuring(true);
-      if (snapshotting && snap > scenario.warmup_cycles) {
-        network.run(snap - scenario.warmup_cycles);
-        save_snapshot();
-        network.run(total_cycles - snap);
-      } else {
-        network.run(scenario.measure_cycles);
-      }
-    } else {
-      // The loaded trackers carry their measuring flags, so the initial
-      // set_measuring call is skipped; a snapshot taken at or before the
-      // warmup boundary replays the boundary actions (the fresh-run path
-      // above saves before resetting stats at snap == warmup).
-      const sim::Cycle at = network.clock().now();
-      if (at <= scenario.warmup_cycles) {
-        network.run(scenario.warmup_cycles - at);
-        network.stats().reset();
-        network.set_measuring(true);
-        network.run(scenario.measure_cycles);
-      } else {
-        network.run(total_cycles - at);
-      }
+      pause.reset();
     }
-  } else {
-    // Same schedule as run_with_warmup, with the invariant checker run
-    // after every cycle (it self-resyncs across the stats reset). Under the
-    // active set, step() runs one cycle of the scheduled components.
-    noc::InvariantChecker checker(network);
-    network.set_measuring(false);
-    for (sim::Cycle i = 0; i < scenario.warmup_cycles; ++i) {
-      network.step();
-      checker.check();
-    }
+    advance_to(end);
+  };
+  if (!options.resume_from) network.set_measuring(false);
+  if (network.clock().now() <= scenario.warmup_cycles) {
+    run_until(scenario.warmup_cycles);
     network.stats().reset();
     network.set_measuring(true);
-    for (sim::Cycle i = 0; i < scenario.measure_cycles; ++i) {
-      network.step();
-      checker.check();
-    }
-    for (const auto& v : checker.violations())
-      result.invariant_violations.push_back("cycle " + std::to_string(v.cycle) + ": " + v.what);
   }
+  run_until(total_cycles);
 
+  RunResult result;
+  if (checker)
+    for (const auto& v : checker->violations())
+      result.invariant_violations.push_back("cycle " + std::to_string(v.cycle) + ": " + v.what);
   result.scenario = scenario;
   result.policy = policy;
   for (noc::NodeId id = 0; id < network.num_routers(); ++id) {

@@ -80,31 +80,16 @@ std::uint64_t fleet_chip_seed(const sim::Scenario& scenario, int chip) {
 }
 
 std::string fleet_digest(const FleetSpec& spec) {
-  const sim::Scenario& s = spec.scenario;
-  std::string d = "fleet scenario=" + s.name;
-  d += " mesh=" + std::to_string(s.mesh_width) + "x" + std::to_string(s.mesh_height);
-  d += " vcs=" + std::to_string(s.num_vcs) + " vnets=" + std::to_string(s.num_vnets);
-  d += " rate=" + std::to_string(s.injection_rate);
-  d += " warmup=" + std::to_string(s.warmup_cycles) + " measure=" + std::to_string(s.measure_cycles);
-  d += " seeds=" + std::to_string(s.pv_seed()) + "/" + std::to_string(s.traffic_seed());
-  d += " chips=" + std::to_string(spec.chips);
+  std::string d = "fleet chips=" + std::to_string(spec.chips);
   d += " budget=" + std::to_string(spec.dvth_budget_v);
   d += " fraction=" + std::to_string(spec.failure_fraction);
   d += " max_years=" + std::to_string(spec.max_years);
-  d += " policies=";
-  for (std::size_t i = 0; i < spec.policies.size(); ++i) {
-    if (i > 0) d.push_back(',');
-    d += to_string(spec.policies[i]);
-  }
-  d += " workloads=";
-  for (std::size_t i = 0; i < spec.workloads.size(); ++i) {
-    if (i > 0) d.push_back(',');
-    d += spec.workloads[i].label;
-    d.push_back('/');
-    d += std::to_string(spec.workloads[i].workload.seed_salt);
-  }
-  d += " rr=" + std::to_string(spec.runner.policy.rr_rotation_period) +
-       " hold=" + std::to_string(spec.runner.policy.decision_period);
+  // One cell per (policy, workload) group, in point-enumeration order. The
+  // per-chip silicon derives from the scenario alone, so the cell digest
+  // over spec.runner pins everything a chip's run depends on.
+  for (const PolicyKind policy : spec.policies)
+    for (const LabeledWorkload& w : spec.workloads)
+      d += " | " + w.label + ": " + config_digest(spec.scenario, policy, w.workload, spec.runner);
   return d;
 }
 

@@ -142,44 +142,14 @@ noc::GateCommand sensor_rank_decide(const noc::OutVcStateView& view,
 
 namespace {
 
-/// Lowest-index extremum scans, matching the sensor-bank comparator tree's
-/// tie-break so faulted (effective-reading) and healthy paths rank alike.
-int most_degraded_free_slot(const noc::SharedBufferPool& pool,
-                            const std::vector<double>& degradation) {
-  int best = noc::kInvalidVc;
-  for (int s = 0; s < pool.num_slots(); ++s) {
-    if (pool.slot_state(s) != noc::SharedBufferPool::SlotState::kFree) continue;
-    if (best == noc::kInvalidVc || degradation[static_cast<std::size_t>(s)] >
-                                       degradation[static_cast<std::size_t>(best)])
-      best = s;
-  }
-  return best;
-}
-
-int least_degraded_gated_slot(const noc::SharedBufferPool& pool,
-                              const std::vector<double>& degradation) {
-  int best = noc::kInvalidVc;
-  for (int s = 0; s < pool.num_slots(); ++s) {
-    if (pool.slot_state(s) != noc::SharedBufferPool::SlotState::kGated) continue;
-    if (best == noc::kInvalidVc || degradation[static_cast<std::size_t>(s)] <
-                                       degradation[static_cast<std::size_t>(best)])
-      best = s;
-  }
-  return best;
-}
-
-}  // namespace
-
-noc::GateCommand sensor_wise_slot_decide(const noc::SharedBufferPool& pool,
-                                         const std::vector<double>& degradation,
-                                         bool new_traffic) {
-  if (static_cast<int>(degradation.size()) < pool.num_slots())
-    throw std::invalid_argument("sensor_wise_slot_decide: degradation size mismatch");
+/// The wake/gate rules both slot policies share; only the slot choice
+/// differs. `pick(want)` names the slot in state `want` to wake (kGated) or
+/// to gate (kFree), or kInvalidVc for none.
+template <typename Pick>
+noc::GateCommand slot_decide(const noc::SharedBufferPool& pool, bool new_traffic,
+                             const Pick& pick) {
   noc::GateCommand cmd;
   cmd.gating_active = true;
-  cmd.enable = false;
-  cmd.keep_vc = noc::kInvalidVc;
-  cmd.first_vc = 0;
   cmd.range_vcs = 0;
   const int free = pool.free_slots();
   const int vcs = pool.num_vcs();
@@ -189,13 +159,9 @@ noc::GateCommand sensor_wise_slot_decide(const noc::SharedBufferPool& pool,
   // cannot be the wake trigger. credit_starved() reads the pressure off the
   // outstanding charges instead and reopens the shared region.
   if (pool.credit_starved() || (new_traffic && free < vcs)) {
-    // Headroom is short for the traffic that is coming: wake the Gated slot
-    // that has recovered the longest (lowest effective Vth).
-    const int wake = least_degraded_gated_slot(pool, degradation);
-    if (wake != noc::kInvalidVc) {
-      cmd.enable = true;
-      cmd.keep_vc = wake;
-    }
+    // Headroom is short for the traffic that is coming: wake one Gated slot.
+    cmd.keep_vc = pick(noc::SharedBufferPool::SlotState::kGated);
+    cmd.enable = cmd.keep_vc != noc::kInvalidVc;
     return cmd;
   }
   // While some VC depends on the shared region (charge at reserve), gating
@@ -204,10 +170,10 @@ noc::GateCommand sensor_wise_slot_decide(const noc::SharedBufferPool& pool,
   // demand, M* alone binds and the pool walks to the all-gated fixed point.
   const bool headroom_ok = pool.vcs_at_reserve() == 0 || pool.credit_headroom() >= 2;
   if ((!new_traffic || free > vcs) && headroom_ok && pool.can_gate()) {
-    // Surplus headroom (or no traffic at all): recover the most degraded
-    // Free slot, one per cycle. The can_gate() guard keeps the command a
-    // structural no-op at the gating fixed point.
-    const int victim = most_degraded_free_slot(pool, degradation);
+    // Surplus headroom (or no traffic at all): recover one Free slot per
+    // cycle. The can_gate() guard keeps the command a structural no-op at
+    // the gating fixed point.
+    const int victim = pick(noc::SharedBufferPool::SlotState::kFree);
     if (victim != noc::kInvalidVc) {
       cmd.first_vc = victim;
       cmd.range_vcs = 1;
@@ -216,44 +182,44 @@ noc::GateCommand sensor_wise_slot_decide(const noc::SharedBufferPool& pool,
   return cmd;
 }
 
+}  // namespace
+
+noc::GateCommand sensor_wise_slot_decide(const noc::SharedBufferPool& pool,
+                                         const std::vector<double>& degradation,
+                                         bool new_traffic) {
+  if (static_cast<int>(degradation.size()) < pool.num_slots())
+    throw std::invalid_argument("sensor_wise_slot_decide: degradation size mismatch");
+  // Wake the Gated slot that has recovered the longest (lowest reading),
+  // gate the most degraded Free slot; the lowest index wins ties, like the
+  // sensor bank's comparator tree.
+  return slot_decide(pool, new_traffic, [&](noc::SharedBufferPool::SlotState want) {
+    const bool wake = want == noc::SharedBufferPool::SlotState::kGated;
+    int best = noc::kInvalidVc;
+    for (int s = 0; s < pool.num_slots(); ++s) {
+      if (pool.slot_state(s) != want) continue;
+      const double d = degradation[static_cast<std::size_t>(s)];
+      if (best == noc::kInvalidVc ||
+          (wake ? d < degradation[static_cast<std::size_t>(best)]
+                : d > degradation[static_cast<std::size_t>(best)]))
+        best = s;
+    }
+    return best;
+  });
+}
+
 noc::GateCommand rr_slot_decide(const noc::SharedBufferPool& pool, int candidate,
                                 bool new_traffic) {
   const int slots = pool.num_slots();
   candidate = ((candidate % slots) + slots) % slots;
-  const auto scan = [&](noc::SharedBufferPool::SlotState want) {
+  // The first slot in the wanted state, scanning circularly from the
+  // time-rotated candidate.
+  return slot_decide(pool, new_traffic, [&](noc::SharedBufferPool::SlotState want) {
     for (int i = 0; i < slots; ++i) {
       const int s = candidate + i < slots ? candidate + i : candidate + i - slots;
       if (pool.slot_state(s) == want) return s;
     }
     return noc::kInvalidVc;
-  };
-  noc::GateCommand cmd;
-  cmd.gating_active = true;
-  cmd.enable = false;
-  cmd.keep_vc = noc::kInvalidVc;
-  cmd.first_vc = 0;
-  cmd.range_vcs = 0;
-  const int free = pool.free_slots();
-  const int vcs = pool.num_vcs();
-  // Same wake/gate conditions as sensor_wise_slot_decide (credit-pressure
-  // wake, headroom-preserving gate guard); only the slot choice differs.
-  if (pool.credit_starved() || (new_traffic && free < vcs)) {
-    const int wake = scan(noc::SharedBufferPool::SlotState::kGated);
-    if (wake != noc::kInvalidVc) {
-      cmd.enable = true;
-      cmd.keep_vc = wake;
-    }
-    return cmd;
-  }
-  const bool headroom_ok = pool.vcs_at_reserve() == 0 || pool.credit_headroom() >= 2;
-  if ((!new_traffic || free > vcs) && headroom_ok && pool.can_gate()) {
-    const int victim = scan(noc::SharedBufferPool::SlotState::kFree);
-    if (victim != noc::kInvalidVc) {
-      cmd.first_vc = victim;
-      cmd.range_vcs = 1;
-    }
-  }
-  return cmd;
+  });
 }
 
 }  // namespace nbtinoc::core

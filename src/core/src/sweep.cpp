@@ -20,6 +20,16 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
+/// Worker threads for `count` tasks: `workers`, 0 meaning hardware
+/// concurrency, never more than the tasks and never fewer than one.
+unsigned clamp_workers(unsigned workers, std::size_t count) {
+  unsigned n = workers;
+  if (n == 0) n = std::thread::hardware_concurrency();
+  if (n == 0) n = 1;  // hardware_concurrency() may be unknowable
+  if (count < static_cast<std::size_t>(n)) n = static_cast<unsigned>(count == 0 ? 1 : count);
+  return n;
+}
+
 }  // namespace
 
 std::string SweepPoint::describe() const {
@@ -90,11 +100,7 @@ void SweepResult::write_json(const std::string& path) const {
 
 void parallel_for(std::size_t count, unsigned workers,
                   const std::function<void(std::size_t)>& fn) {
-  unsigned n = workers;
-  if (n == 0) n = std::thread::hardware_concurrency();
-  if (n == 0) n = 1;
-  if (count < static_cast<std::size_t>(n)) n = static_cast<unsigned>(count == 0 ? 1 : count);
-
+  const unsigned n = clamp_workers(workers, count);
   if (n <= 1) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
@@ -148,12 +154,7 @@ void SweepRunner::add_grid(const std::vector<sim::Scenario>& scenarios,
 }
 
 unsigned SweepRunner::effective_workers() const {
-  unsigned n = options_.workers;
-  if (n == 0) n = std::thread::hardware_concurrency();
-  if (n == 0) n = 1;  // hardware_concurrency() may be unknowable
-  if (points_.size() < static_cast<std::size_t>(n))
-    n = static_cast<unsigned>(points_.size() == 0 ? 1 : points_.size());
-  return n;
+  return clamp_workers(options_.workers, points_.size());
 }
 
 void SweepRunner::for_each(std::size_t count,
@@ -164,84 +165,33 @@ void SweepRunner::for_each(std::size_t count,
 SweepResult SweepRunner::run() const {
   const auto start = std::chrono::steady_clock::now();
   std::vector<SweepPointResult> results(points_.size());
+  std::mutex progress_mutex;
+  std::size_t completed = 0;
 
   // Each point is an independent pure function of its SweepPoint (PV and
   // traffic seeds derive from the scenario inside run_experiment), so
   // workers may claim indices in any order: the write goes to the point's
   // own grid slot and carries no cross-point state.
-  const auto run_point = [&](std::size_t i) {
+  parallel_for(points_.size(), options_.workers, [&](std::size_t i) {
     const auto point_start = std::chrono::steady_clock::now();
     SweepPointResult& slot = results[i];
     slot.point = points_[i];
     slot.result = run_experiment(points_[i].scenario, points_[i].policy, points_[i].workload,
                                  points_[i].runner ? *points_[i].runner : options_.runner);
     slot.wall_seconds = seconds_since(point_start);
-  };
-
-  const unsigned workers = effective_workers();
-  if (workers <= 1) {
-    // Reference serial path: no pool, no locks — byte-identical to calling
-    // run_experiment in a loop.
-    std::size_t completed = 0;
-    for (std::size_t i = 0; i < points_.size(); ++i) {
-      run_point(i);
-      ++completed;
-      if (options_.on_progress) {
-        SweepProgress prog;
-        prog.completed = completed;
-        prog.total = points_.size();
-        prog.point_index = i;
-        prog.point_seconds = results[i].wall_seconds;
-        prog.elapsed_seconds = seconds_since(start);
-        prog.eta_seconds = prog.completed == 0
-                               ? 0.0
-                               : prog.elapsed_seconds / static_cast<double>(prog.completed) *
-                                     static_cast<double>(prog.total - prog.completed);
-        prog.point = &points_[i];
-        options_.on_progress(prog);
-      }
-    }
-    return SweepResult(std::move(results));
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> completed{0};
-  std::mutex progress_mutex;
-  std::exception_ptr first_error;
-
-  const auto worker_loop = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= points_.size()) return;
-      try {
-        run_point(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(progress_mutex);
-        if (!first_error) first_error = std::current_exception();
-        return;  // stop this worker; others drain their claimed points
-      }
-      const std::size_t done = completed.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (options_.on_progress) {
-        std::lock_guard<std::mutex> lock(progress_mutex);
-        SweepProgress prog;
-        prog.completed = done;
-        prog.total = points_.size();
-        prog.point_index = i;
-        prog.point_seconds = results[i].wall_seconds;
-        prog.elapsed_seconds = seconds_since(start);
-        prog.eta_seconds = prog.elapsed_seconds / static_cast<double>(done) *
-                           static_cast<double>(prog.total - done);
-        prog.point = &points_[i];
-        options_.on_progress(prog);
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) pool.emplace_back(worker_loop);
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+    if (!options_.on_progress) return;
+    std::lock_guard<std::mutex> lock(progress_mutex);
+    SweepProgress prog;
+    prog.completed = ++completed;
+    prog.total = points_.size();
+    prog.point_index = i;
+    prog.point_seconds = slot.wall_seconds;
+    prog.elapsed_seconds = seconds_since(start);
+    prog.eta_seconds = prog.elapsed_seconds / static_cast<double>(prog.completed) *
+                       static_cast<double>(prog.total - prog.completed);
+    prog.point = &points_[i];
+    options_.on_progress(prog);
+  });
   return SweepResult(std::move(results));
 }
 

@@ -110,15 +110,37 @@ TEST(Fleet, MergeRejectsForeignIncompleteAndOverlappingShards) {
   FleetShardResult shard0 = run_fleet_shard(spec, 0, 2, 1);
   const FleetShardResult shard1 = run_fleet_shard(spec, 1, 2, 1);
 
-  // Wrong configuration: digest mismatch.
+  // Wrong configuration: digest mismatch, whichever knob differs.
+  const auto expect_foreign = [&](const FleetSpec& other, const char* what) {
+    try {
+      merge_fleet_shards(other, {shard0, shard1});
+      ADD_FAILURE() << what << ": digest mismatch not detected";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("different fleet configuration"), std::string::npos)
+          << what;
+    }
+  };
   FleetSpec other = spec;
   other.dvth_budget_v = 0.05;
-  try {
-    merge_fleet_shards(other, {shard0, shard1});
-    FAIL() << "digest mismatch not detected";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("different fleet configuration"), std::string::npos);
-  }
+  expect_foreign(other, "budget");
+  other = spec;
+  other.scenario.routing = "yx";
+  expect_foreign(other, "routing");
+  other = spec;
+  other.scenario.buffer_depth = 8;
+  expect_foreign(other, "buffer depth");
+  other = spec;
+  other.scenario.tech.temperature_k = 380.0;
+  expect_foreign(other, "temperature");
+  other = spec;
+  other.workloads[0].workload = Workload::synthetic(traffic::PatternKind::kTranspose);
+  expect_foreign(other, "workload pattern under the same label");
+  other = spec;
+  other.runner.policy.sensor.noise_sigma_v = 1e-3;
+  expect_foreign(other, "sensor noise");
+  other = spec;
+  other.runner.faults = sim::FaultPlan::uniform(0.01);
+  expect_foreign(other, "fault rates");
 
   // Missing shard: coverage gap.
   EXPECT_THROW(merge_fleet_shards(spec, {shard0}), std::runtime_error);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "nbtinoc/core/sweep.hpp"
+#include "nbtinoc/traffic/synthetic.hpp"
 
 namespace nbtinoc::core {
 namespace {
@@ -112,41 +113,122 @@ void expect_same_command(const noc::GateCommand& a, const noc::GateCommand& b, s
   EXPECT_EQ(a.range_vcs, b.range_vcs) << "cycle " << now;
 }
 
+// Each sensor policy degrades to the sensor-less policy of its granularity:
+// the VC policies to rr-no-sensor, the slot policy (shared buffers) to
+// rr-slot.
 TEST(FaultResilience, StalePortFallsBackToRoundRobin) {
+  struct Case {
+    PolicyKind policy;
+    PolicyKind peer;
+    noc::BufferOrg org;
+  };
+  for (const Case& c : {Case{PolicyKind::kSensorWise, PolicyKind::kRrNoSensor,
+                             noc::BufferOrg::kPartitioned},
+                        Case{PolicyKind::kSensorWiseNoTraffic, PolicyKind::kRrNoSensor,
+                             noc::BufferOrg::kPartitioned},
+                        Case{PolicyKind::kSensorRank, PolicyKind::kRrNoSensor,
+                             noc::BufferOrg::kPartitioned},
+                        Case{PolicyKind::kSensorWiseSlotMd, PolicyKind::kRrSlot,
+                             noc::BufferOrg::kShared}}) {
+    SCOPED_TRACE(to_string(c.policy));
+    noc::NocConfig config = mesh();
+    config.buffer_org = c.org;
+    noc::Network net(config);
+    const nbti::NbtiModel model = nbti::NbtiModel::calibrated(nbti::NbtiParams{}, {});
+    PolicyConfig cfg = sensor_wise_config();
+    cfg.kind = c.policy;
+    PolicyGateController ctrl(net, cfg, model, {}, nbti::PvConfig{}, 1);
+    PolicyConfig rr_cfg;
+    rr_cfg.kind = c.peer;
+    PolicyGateController rr(net, rr_cfg, model, {}, nbti::PvConfig{}, 1);
+
+    sim::FaultPlan plan;
+    plan.down_up_drop_rate = 1.0;  // every Down_Up report lost
+    sim::FaultInjector injector(plan, /*seed=*/3);
+    ctrl.set_fault_injector(&injector);
+
+    const noc::PortKey key{0, noc::Dir::East};
+    const noc::OutVcStateView view(&net.router(0).input(noc::Dir::East));
+
+    // Healthy (pre-quarantine): the sensor policy keeps (or gates) a
+    // sensor-chosen VC or slot, which the rotating rr candidate cannot track.
+    ASSERT_FALSE(ctrl.quarantined(key));
+    bool differed = false;
+    for (sim::Cycle now = 0; now < 8; ++now) {
+      const noc::GateCommand a = ctrl.decide(key, view, true, now);
+      const noc::GateCommand b = rr.decide(key, view, true, now);
+      differed = differed || a.keep_vc != b.keep_vc || a.first_vc != b.first_vc;
+    }
+    EXPECT_TRUE(differed);
+
+    // Starve the watchdog: staleness_epochs dropped reports -> quarantine.
+    for (sim::Cycle now = 1; now <= 6; ++now) ctrl.post_cycle(now);
+    ASSERT_TRUE(ctrl.quarantined(key));
+    EXPECT_EQ(ctrl.quarantined_ports(), 12u);  // every port starves alike
+    EXPECT_EQ(net.stats().counter("fault.quarantines"), 12u);
+
+    // Quarantined: the sensor policy is now bit-for-bit its rr peer.
+    for (sim::Cycle now = 10; now < 30; ++now)
+      for (const bool traffic : {true, false})
+        expect_same_command(ctrl.decide(key, view, traffic, now), rr.decide(key, view, traffic, now),
+                            now);
+  }
+}
+
+// Every sensor policy acts on the delivered Down_Up report. Off the fault
+// plan — no plan at all, or a targeted plan that does not name the port —
+// that report is the sensors' own reading, refreshed intact at every epoch
+// (not the reading taken when the controller was built); only the named
+// port's reports are lost.
+TEST(FaultResilience, PortsOffThePlanGetTheirReportIntact) {
   noc::Network net(mesh());
   const nbti::NbtiModel model = nbti::NbtiModel::calibrated(nbti::NbtiParams{}, {});
-  PolicyGateController ctrl(net, sensor_wise_config(), model, {}, nbti::PvConfig{}, 1);
-  PolicyConfig rr_cfg;
-  rr_cfg.kind = PolicyKind::kRrNoSensor;
-  PolicyGateController rr(net, rr_cfg, model, {}, nbti::PvConfig{}, 1);
+  PolicyConfig cfg = sensor_wise_config();
+  cfg.sensor.epoch_cycles = 16;
+  cfg.sensor.time_acceleration = 1e9;  // readings move by millivolts within the run
+  PolicyGateController ctrl(net, cfg, model, {}, nbti::PvConfig{}, 1);
+  ctrl.attach();
+  traffic::install_uniform_traffic(net, 0.3, 11);
 
+  // The construction-time readings, per port.
+  auto first = sample_network_vths(net.config(), nbti::PvConfig{}, 1);
+  for (auto& [key, bank] : first)
+    for (std::size_t v = 0; v < bank.size(); ++v) bank[v] = ctrl.sensors(key).measured_vth(v);
+  bool moved = false;
+  const auto expect_intact = [&](sim::Cycle cycles, const noc::PortKey* skip) {
+    for (sim::Cycle cycle = 0; cycle < cycles; ++cycle) {
+      net.step();
+      for (const auto& [key, bank] : first) {
+        if (skip != nullptr && key == *skip) continue;
+        for (std::size_t v = 0; v < bank.size(); ++v) {
+          const double measured = ctrl.sensors(key).measured_vth(v);
+          ASSERT_EQ(ctrl.effective_vth(key, static_cast<int>(v)), measured)
+              << "router " << key.router << " port " << noc::to_string(key.port) << " vc " << v
+              << " at cycle " << net.clock().now();
+          moved = moved || measured != bank[v];
+        }
+      }
+    }
+  };
+  expect_intact(1'000, nullptr);  // fault-free
+  EXPECT_TRUE(moved);             // the check compared moving readings
+
+  const noc::PortKey targeted{0, noc::Dir::East};
   sim::FaultPlan plan;
-  plan.down_up_drop_rate = 1.0;  // every Down_Up report lost
+  plan.down_up_drop_rate = 1.0;
+  plan.targets = {{static_cast<int>(targeted.router), static_cast<int>(targeted.port)}};
   sim::FaultInjector injector(plan, /*seed=*/3);
   ctrl.set_fault_injector(&injector);
+  expect_intact(1'000, &targeted);
 
-  const noc::PortKey key{0, noc::Dir::East};
-  const noc::OutVcStateView view(&net.router(0).input(noc::Dir::East));
-
-  // Healthy (pre-quarantine): sensor-wise keeps a sensor-chosen VC, which
-  // the rotating rr candidate cannot track.
-  ASSERT_FALSE(ctrl.quarantined(key));
-  bool differed = false;
-  for (sim::Cycle now = 0; now < 8; ++now)
-    if (ctrl.decide(key, view, true, now).keep_vc != rr.decide(key, view, true, now).keep_vc)
-      differed = true;
-  EXPECT_TRUE(differed);
-
-  // Starve the watchdog: staleness_epochs dropped reports -> quarantine.
-  for (sim::Cycle now = 1; now <= 6; ++now) ctrl.post_cycle(now);
-  ASSERT_TRUE(ctrl.quarantined(key));
-  EXPECT_EQ(ctrl.quarantined_ports(), 12u);  // every port starves alike
-  EXPECT_EQ(net.stats().counter("fault.quarantines"), 12u);
-
-  // Quarantined: sensor-wise is now bit-for-bit the rr-no-sensor policy.
-  for (sim::Cycle now = 10; now < 30; ++now)
-    expect_same_command(ctrl.decide(key, view, true, now), rr.decide(key, view, true, now), now);
-  expect_same_command(ctrl.decide(key, view, false, 30), rr.decide(key, view, false, 30), 30);
+  // The storm really hit the targeted port: quarantined on stale readings.
+  EXPECT_TRUE(ctrl.quarantined(targeted));
+  EXPECT_EQ(ctrl.quarantined_ports(), 1u);
+  bool stale = false;
+  for (int v = 0; v < 4; ++v)
+    stale = stale || ctrl.effective_vth(targeted, v) !=
+                         ctrl.sensors(targeted).measured_vth(static_cast<std::size_t>(v));
+  EXPECT_TRUE(stale);
 }
 
 TEST(FaultResilience, DeadSensorsTripThePlausibilityWatchdog) {

@@ -136,6 +136,24 @@ TEST(ResumeTest, PostStructuralKillRoundTrips) {
   }
 }
 
+TEST(ResumeTest, HeldDecisionsRoundTrip) {
+  // decision_period > 1: the hysteresis cache (held commands and their
+  // expiry cycles) is part of the snapshot, and a resume must pick every
+  // held command up mid-period. Sensor-wise-no-traffic always holds an
+  // enabled command, so a resume that dropped the cache would recompute
+  // commands mid-period and shift the refresh phase of every port.
+  const sim::Scenario s = small_scenario();
+  RunnerOptions options;
+  options.policy.decision_period = 7;
+  for (const PolicyKind policy : {PolicyKind::kSensorWiseNoTraffic, PolicyKind::kSensorWise}) {
+    SCOPED_TRACE(to_string(policy));
+    expect_resume_equal(s, policy, Workload::synthetic(), options, /*at=*/1'733,
+                        noc::SchedulerMode::kStepped, noc::SchedulerMode::kActiveSet);
+    expect_resume_equal(s, policy, Workload::synthetic(), options, /*at=*/2'402,
+                        noc::SchedulerMode::kActiveSet, noc::SchedulerMode::kActiveSet);
+  }
+}
+
 // Randomized pause points over randomized scenarios — the fuzz half of the
 // bit-identity claim. Each seed derives a scenario/policy/mode/pause tuple;
 // every third seed adds a control-fault storm, every fourth a structural
@@ -258,6 +276,45 @@ TEST(ResumeValidation, MismatchedPolicyIsRejected) {
   options.resume_from = bytes;
   EXPECT_THROW(run_experiment(s, PolicyKind::kBaseline, Workload::synthetic(), options),
                sim::SnapshotError);
+}
+
+TEST(ResumeValidation, EveryConfigurationKnobIsPinned) {
+  // Knobs that change a run without renaming its scenario: a snapshot taken
+  // under one value must not resume under another.
+  const sim::Scenario s = small_scenario();
+  RunnerOptions saved;
+  saved.faults = sim::FaultPlan::uniform(0.02);
+  const std::string bytes = snapshot_of(s, saved, 1'000);
+  const auto expect_rejected = [&](const sim::Scenario& scenario, RunnerOptions options,
+                                   const char* what) {
+    options.resume_from = bytes;
+    EXPECT_THROW(run_experiment(scenario, PolicyKind::kSensorWise, Workload::synthetic(), options),
+                 sim::SnapshotError)
+        << what;
+  };
+  RunnerOptions options = saved;
+  options.policy.sensor.noise_sigma_v = 1e-3;
+  expect_rejected(s, options, "sensor noise");
+  options = saved;
+  options.policy.health.staleness_epochs = 8;
+  expect_rejected(s, options, "health ladder");
+  options = saved;
+  options.faults.down_up_drop_rate = 0.05;
+  expect_rejected(s, options, "fault rate");
+  options = saved;
+  options.nbti.ea_ev = 0.5;
+  expect_rejected(s, options, "NBTI model");
+  sim::Scenario other = s;
+  other.tech.temperature_k = 380.0;
+  expect_rejected(other, saved, "temperature");
+  other = s;
+  other.clock_period_s = 0.5e-9;
+  expect_rejected(other, saved, "clock period");
+
+  // The saved configuration itself still resumes.
+  options = saved;
+  options.resume_from = bytes;
+  EXPECT_NO_THROW(run_experiment(s, PolicyKind::kSensorWise, Workload::synthetic(), options));
 }
 
 TEST(ResumeValidation, WrongVersionAndGarbageAreRejected) {
