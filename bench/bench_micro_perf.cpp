@@ -294,6 +294,28 @@ void BM_LifetimeHierarchical(benchmark::State& state) {
 }
 BENCHMARK(BM_LifetimeHierarchical)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
+// Fleet sharing pair: the 16 chips of one rr-no-sensor cell as 16 one-chip
+// fleets (Arg 0: a simulation and a reduce each) vs one 16-chip fleet
+// (Arg 1). A policy that reads no sensor has the same duty on every chip's
+// silicon, so the 16-chip fleet simulates once and reduces 16 chips.
+// check_perf_regression.py gates the same-machine ratio via
+// BENCH_fleet.json. Public API only, one worker on both sides.
+void BM_FleetSensorLess(benchmark::State& state) {
+  constexpr int kChips = 16;
+  const bool one_fleet = state.range(0) != 0;
+  core::FleetSpec spec;
+  spec.scenario = sim::Scenario::synthetic(4, 4, 0.2);
+  spec.scenario.warmup_cycles = 200;
+  spec.scenario.measure_cycles = 2'000;
+  spec.policies = {core::PolicyKind::kRrNoSensor};
+  spec.chips = one_fleet ? kChips : 1;
+  for (auto _ : state)
+    for (int fleet = 0; fleet < (one_fleet ? 1 : kChips); ++fleet)
+      benchmark::DoNotOptimize(core::run_fleet(spec, 1).groups().front().median_years);
+  state.SetItemsProcessed(state.iterations() * kChips);
+}
+BENCHMARK(BM_FleetSensorLess)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 // Trace-replay engine pair: the legacy CSV/in-memory path (parse the CSV,
 // copy every node's slice into its own vector) vs the NBTITRACE mmap'd
 // zero-copy path (one shared read-only mapping, per-source cursors). Both

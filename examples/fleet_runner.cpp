@@ -12,6 +12,10 @@
 // Every chip is an independent process-variation silicon sample; each runs
 // every policy under every workload, and the chip's failure time is the
 // year its --fraction order statistic of VC lifetimes crosses --budget-mv.
+// A policy that reads no sensor (baseline, rr-no-sensor, rr-slot) has the
+// same duty on every chip, so its chips share one simulation per shard and
+// differ only in the silicon their lifetimes are computed on: adding chips
+// to such a policy costs a reduce each, not a run.
 // The merged fleet.json / fleet.csv are byte-identical for any --workers
 // value and any shard split (the merge validates that the partials belong
 // to this exact configuration and cover every point exactly once).

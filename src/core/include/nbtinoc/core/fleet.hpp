@@ -6,15 +6,21 @@
 // Each fleet point is one chip (an independent PV silicon sample) running
 // one policy under one workload: a cycle-accurate run_experiment measures
 // every buffer's duty cycle, then the closed-form reaction–diffusion model
-// (AgingForecaster::lifetime_years) converts {initial Vth, duty} into the
-// years until that buffer's ΔVth crosses the budget. The chip's failure
-// time is the order statistic at `failure_fraction` of its VC population —
-// the paper-level question "when has 1% of this chip's VC buffers drifted
-// out of spec?".
+// (AgingForecaster::lifetime_years) converts {the chip's initial Vth, duty}
+// into the years until that buffer's ΔVth crosses the budget. The chip's
+// failure time is the order statistic at `failure_fraction` of its VC
+// population — the paper-level question "when has 1% of this chip's VC
+// buffers drifted out of spec?".
+//
+// A sensor policy runs once per chip. A policy that reads no sensor
+// (reads_sensors) has the same duty on every chip's silicon, so its
+// (policy, workload) cell runs once per shard, on its first chip there,
+// and every chip of the cell is reduced from that one run against its own
+// silicon — exactly what per-chip runs would give.
 //
 // Determinism contract (pinned by fleet_test): every point's seeds derive
-// from {scenario, chip index} alone, points execute through SweepRunner,
-// and reports reduce in point order — so the merged JSON/CSV is
+// from {scenario, chip index} alone, runs execute through SweepRunner, and
+// each point reduces into its own slot — so the merged JSON/CSV is
 // byte-identical for any --workers value and any shard split. Shard
 // partials carry failure times as exact IEEE bit patterns (hex), so a
 // merge loses nothing to decimal round-tripping.
@@ -76,13 +82,14 @@ struct FleetShardResult {
 };
 
 /// Canonical textual encoding of everything that determines fleet results
-/// (one line): chips, budget, failure fraction and horizon, then the
-/// config_digest of every (policy, workload) cell. Embedded in shard
-/// partials and checked at merge.
+/// (one line): chips, then budget, failure fraction and horizon as exact
+/// round-trip doubles, then the config_digest of every (policy, workload)
+/// cell. Embedded in shard partials and checked at merge.
 std::string fleet_digest(const FleetSpec& spec);
 
-/// Runs one shard of the fleet through SweepRunner (workers as given; 0 =
-/// hardware concurrency). shard_index/shard_count = 0/1 runs everything.
+/// Runs one shard of the fleet: its simulations through SweepRunner, then
+/// the per-point reduce on the same pool (workers as given; 0 = hardware
+/// concurrency). shard_index/shard_count = 0/1 runs everything.
 FleetShardResult run_fleet_shard(const FleetSpec& spec, int shard_index, int shard_count,
                                  unsigned workers);
 

@@ -53,6 +53,17 @@ enum class PolicyKind {
 std::string to_string(PolicyKind kind);
 PolicyKind parse_policy(const std::string& name);
 
+/// True when the policy's decisions read the Down_Up sensor report. A
+/// sensor-less policy decides from traffic and time alone, so its duty does
+/// not depend on the silicon it runs on (pinned by fleet_test): the gating
+/// controller skips the port's report for it, and a fleet simulates one
+/// chip per sensor-less cell. Every other kind counts as reading sensors,
+/// the safe side: an unlisted sensor-less policy only loses the sharing.
+constexpr bool reads_sensors(PolicyKind kind) {
+  return kind != PolicyKind::kBaseline && kind != PolicyKind::kRrNoSensor &&
+         kind != PolicyKind::kRrSlot;
+}
+
 /// Algorithm 1 — the round-robin sensor-less pre-VA stage. `candidate` is
 /// the time-rotated active-candidate VC identifier.
 noc::GateCommand rr_no_sensor_decide(const noc::OutVcStateView& view, int candidate,

@@ -144,12 +144,11 @@ noc::GateCommand PolicyGateController::compute(const noc::PortKey& key,
   // Sensor policies act on the last delivered Down_Up report (effective_vths:
   // intact off the fault plan, possibly stale or corrupted on a targeted
   // port). A quarantined port keeps gating but stops trusting the report: it
-  // runs the sensor-less policy of its granularity. Baseline and the rr
-  // policies never look the port up.
+  // runs the sensor-less policy of its granularity. Sensor-less policies
+  // never look the port up.
   PolicyKind kind = config_.kind;
   const PortContext* ctx = nullptr;
-  if (kind != PolicyKind::kBaseline && kind != PolicyKind::kRrNoSensor &&
-      kind != PolicyKind::kRrSlot) {
+  if (reads_sensors(kind)) {
     ctx = &ports_.at(key);
     if (ctx->quarantined && fault_targets(key))
       kind = kind == PolicyKind::kSensorWiseSlotMd ? PolicyKind::kRrSlot : PolicyKind::kRrNoSensor;

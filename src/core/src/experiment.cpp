@@ -1,10 +1,10 @@
 #include "nbtinoc/core/experiment.hpp"
 
 #include <cstdio>
-#include <initializer_list>
 #include <optional>
 #include <stdexcept>
 
+#include "digest.hpp"
 #include "nbtinoc/noc/state_probe.hpp"
 #include "nbtinoc/sim/snapshot.hpp"
 #include "nbtinoc/traffic/synthetic.hpp"
@@ -12,11 +12,7 @@
 
 namespace nbtinoc::core {
 
-namespace {
-/// '/'-separated doubles in "%.17g", which round-trips every double (the
-/// JSON writer's format): a digest must tell apart any two values a
-/// configuration can hold.
-std::string nums(std::initializer_list<double> values) {
+std::string digest_doubles(std::initializer_list<double> values) {
   std::string out;
   for (const double v : values) {
     if (!out.empty()) out += '/';
@@ -26,7 +22,6 @@ std::string nums(std::initializer_list<double> values) {
   }
   return out;
 }
-}  // namespace
 
 std::string config_digest(const sim::Scenario& s, PolicyKind policy, const Workload& workload,
                           const RunnerOptions& options) {
@@ -39,11 +34,12 @@ std::string config_digest(const sim::Scenario& s, PolicyKind policy, const Workl
   d += " org=" + s.buffer_org + "/" + std::to_string(s.shared_reserve);
   d += " bits=" + std::to_string(s.flit_width_bits) + "/" + std::to_string(s.link_width_bits);
   d += " wake=" + std::to_string(s.wakeup_latency) + " stages=" + std::to_string(s.router_stages);
-  d += " rate=" + nums({s.injection_rate});
+  d += " rate=" + digest_doubles({s.injection_rate});
   d += " warmup=" + std::to_string(s.warmup_cycles) + " measure=" + std::to_string(s.measure_cycles);
-  d += " clock=" + nums({s.clock_period_s});
+  d += " clock=" + digest_doubles({s.clock_period_s});
   d += " tech=" + std::to_string(s.tech.node_nm) + "nm/" +
-       nums({s.tech.vth_nominal_v, s.tech.vth_sigma_v, s.tech.vdd_v, s.tech.temperature_k});
+       digest_doubles({s.tech.vth_nominal_v, s.tech.vth_sigma_v, s.tech.vdd_v,
+                       s.tech.temperature_k});
   d += " seeds=" + std::to_string(s.pv_seed()) + "/" + std::to_string(s.traffic_seed()) + "/" +
        std::to_string(s.fault_seed());
   d += " policy=";
@@ -51,15 +47,16 @@ std::string config_digest(const sim::Scenario& s, PolicyKind policy, const Workl
   const PolicyConfig& p = options.policy;
   d += " rr=" + std::to_string(p.rr_rotation_period) + " hold=" + std::to_string(p.decision_period);
   d += " sensor=" + std::to_string(p.sensor.epoch_cycles) + "/" +
-       nums({p.sensor.quantization_v, p.sensor.noise_sigma_v, p.sensor.time_acceleration});
-  d += " health=" + nums({p.health.plausible_min_v, p.health.plausible_max_v}) + "/" +
+       digest_doubles({p.sensor.quantization_v, p.sensor.noise_sigma_v,
+                       p.sensor.time_acceleration});
+  d += " health=" + digest_doubles({p.health.plausible_min_v, p.health.plausible_max_v}) + "/" +
        std::to_string(p.health.implausible_epochs_to_quarantine) + "/" +
        std::to_string(p.health.staleness_epochs) + "/" +
        std::to_string(p.health.healthy_epochs_to_recover);
   const nbti::NbtiParams& n = options.nbti;
-  d += " nbti=" + nums({n.n, n.tox_nm, n.te_nm, n.xi1, n.xi2, n.ea_ev, n.inv_t0_nm2_per_s,
-                        n.e0_v_per_nm, n.kv_prefactor, n.anchor_dvth_v, n.anchor_years,
-                        n.short_time_ramp_s});
+  d += " nbti=" + digest_doubles({n.n, n.tox_nm, n.te_nm, n.xi1, n.xi2, n.ea_ev,
+                                  n.inv_t0_nm2_per_s, n.e0_v_per_nm, n.kv_prefactor,
+                                  n.anchor_dvth_v, n.anchor_years, n.short_time_ramp_s});
   if (options.paper_scale) d += " paper_scale";
   switch (workload.kind) {
     case Workload::Kind::kSynthetic:
@@ -82,9 +79,10 @@ std::string config_digest(const sim::Scenario& s, PolicyKind policy, const Workl
   d += " salt=" + std::to_string(workload.seed_salt);
   if (const sim::FaultPlan& f = options.faults; f.enabled()) {
     d += " faults=" + std::to_string(f.seed_salt) + "/" +
-         nums({f.sensor_stuck_rate, f.sensor_drift_rate, f.sensor_death_rate,
-               f.sensor_repair_rate, f.drift_step_v, f.dead_reading_v, f.gate_cmd_drop_rate,
-               f.gate_cmd_flip_rate, f.down_up_drop_rate, f.wake_fail_rate});
+         digest_doubles({f.sensor_stuck_rate, f.sensor_drift_rate, f.sensor_death_rate,
+                         f.sensor_repair_rate, f.drift_step_v, f.dead_reading_v,
+                         f.gate_cmd_drop_rate, f.gate_cmd_flip_rate, f.down_up_drop_rate,
+                         f.wake_fail_rate});
     // Sites and kills in plan order.
     for (const auto& [router, port] : f.targets)
       d += " target=" + std::to_string(router) + "/" + std::to_string(port);

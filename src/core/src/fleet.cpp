@@ -4,8 +4,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <stdexcept>
 
+#include "digest.hpp"
 #include "nbtinoc/core/sweep.hpp"
 #include "nbtinoc/util/json.hpp"
 #include "nbtinoc/util/rng.hpp"
@@ -81,9 +83,9 @@ std::uint64_t fleet_chip_seed(const sim::Scenario& scenario, int chip) {
 
 std::string fleet_digest(const FleetSpec& spec) {
   std::string d = "fleet chips=" + std::to_string(spec.chips);
-  d += " budget=" + std::to_string(spec.dvth_budget_v);
-  d += " fraction=" + std::to_string(spec.failure_fraction);
-  d += " max_years=" + std::to_string(spec.max_years);
+  d += " budget=" + digest_doubles({spec.dvth_budget_v});
+  d += " fraction=" + digest_doubles({spec.failure_fraction});
+  d += " max_years=" + digest_doubles({spec.max_years});
   // One cell per (policy, workload) group, in point-enumeration order. The
   // per-chip silicon derives from the scenario alone, so the cell digest
   // over spec.runner pins everything a chip's run depends on.
@@ -104,53 +106,70 @@ FleetShardResult run_fleet_shard(const FleetSpec& spec, int shard_index, int sha
   const std::size_t chips = static_cast<std::size_t>(spec.chips);
   const std::size_t workload_count = spec.workloads.size();
 
-  // Per-chip silicon, sampled once per chip in this shard (chips repeat
-  // across policy/workload groups).
-  const noc::NocConfig net_config = noc_config_of(spec.scenario);
-  const nbti::PvConfig pv = pv_config_of(spec.scenario);
-
-  SweepOptions sweep_options;
-  sweep_options.workers = workers;
-  SweepRunner sweep(sweep_options);
-  std::vector<std::size_t> global_of_point;  // sweep index -> global index
-  for (std::size_t index = static_cast<std::size_t>(shard_index); index < total;
-       index += static_cast<std::size_t>(shard_count)) {
-    const std::size_t chip = index % chips;
-    const std::size_t workload_index = (index / chips) % workload_count;
-    const std::size_t policy_index = index / chips / workload_count;
-
-    SweepPoint point;
-    point.scenario = spec.scenario;
-    point.policy = spec.policies[policy_index];
-    point.workload = spec.workloads[workload_index].workload;
-    point.label = "chip" + std::to_string(chip);
-    RunnerOptions ropt = spec.runner;
-    ropt.initial_vths = sample_network_vths(
-        net_config, pv, fleet_chip_seed(spec.scenario, static_cast<int>(chip)));
-    point.runner = std::move(ropt);
-    sweep.add(std::move(point));
-    global_of_point.push_back(index);
-  }
-  const SweepResult runs = sweep.run();
-
-  // Reduce each run to its chip failure time: per-VC lifetimes from the
-  // closed-form model, then the failure_fraction order statistic.
-  const nbti::NbtiModel model = calibrated_model_of(spec.scenario, spec.runner.nbti);
-  const nbti::AgingForecaster forecaster(model, operating_point_of(spec.scenario));
-
   FleetShardResult shard;
   shard.digest = fleet_digest(spec);
   shard.total_points = total;
   shard.shard_index = shard_index;
   shard.shard_count = shard_count;
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const RunResult& run = runs[i].result;
+  for (std::size_t index = static_cast<std::size_t>(shard_index); index < total;
+       index += static_cast<std::size_t>(shard_count)) {
+    FleetPointOutcome outcome;
+    outcome.index = index;
+    outcome.chip = static_cast<int>(index % chips);
+    outcome.workload_index = (index / chips) % workload_count;
+    outcome.policy_index = index / chips / workload_count;
+    shard.outcomes.push_back(outcome);
+  }
+
+  const noc::NocConfig net_config = noc_config_of(spec.scenario);
+  const nbti::PvConfig pv = pv_config_of(spec.scenario);
+  const auto silicon_of = [&](int chip) {
+    return sample_network_vths(net_config, pv, fleet_chip_seed(spec.scenario, chip));
+  };
+
+  // One simulation per sensor point. A cell whose policy reads no sensor
+  // has the same duty on every chip's silicon, so it runs once per shard,
+  // on its first chip here, keyed by the cell's chip-0 index.
+  SweepOptions sweep_options;
+  sweep_options.workers = workers;
+  SweepRunner sweep(sweep_options);
+  std::map<std::size_t, std::size_t> run_of_key;  // run key -> sweep index
+  std::vector<std::size_t> run_of_outcome;
+  for (const FleetPointOutcome& o : shard.outcomes) {
+    const PolicyKind policy = spec.policies[o.policy_index];
+    const std::size_t key =
+        reads_sensors(policy) ? o.index : o.index - static_cast<std::size_t>(o.chip);
+    const auto [it, fresh] = run_of_key.try_emplace(key, sweep.size());
+    run_of_outcome.push_back(it->second);
+    if (!fresh) continue;
+    SweepPoint point;
+    point.scenario = spec.scenario;
+    point.policy = policy;
+    point.workload = spec.workloads[o.workload_index].workload;
+    point.label = "chip" + std::to_string(o.chip);
+    point.runner = spec.runner;
+    point.runner->initial_vths = silicon_of(o.chip);
+    sweep.add(std::move(point));
+  }
+  const SweepResult runs = sweep.run();
+
+  // Reduce every point to its chip's failure time, on the same pool: each
+  // VC's lifetime from the closed-form model at the run's duty and the
+  // chip's own silicon, then the failure_fraction order statistic. Tasks
+  // only read the shared runs and write their own outcome.
+  const nbti::NbtiModel model = calibrated_model_of(spec.scenario, spec.runner.nbti);
+  const nbti::AgingForecaster forecaster(model, operating_point_of(spec.scenario));
+  parallel_for(shard.outcomes.size(), workers, [&](std::size_t i) {
+    FleetPointOutcome& outcome = shard.outcomes[i];
+    const RunResult& run = runs[run_of_outcome[i]].result;
+    const auto silicon = silicon_of(outcome.chip);
     std::vector<double> lifetimes;
     double worst_duty = 0.0;
     for (const auto& [key, port] : run.ports) {
+      const std::vector<double>& vths = silicon.at(key);
       for (std::size_t v = 0; v < port.duty_percent.size(); ++v) {
         nbti::BufferAgingInput input;
-        input.initial_vth_v = port.initial_vth_v[v];
+        input.initial_vth_v = vths[v];
         input.alpha = port.duty_percent[v] / 100.0;
         lifetimes.push_back(
             forecaster.lifetime_years(input, spec.dvth_budget_v, spec.max_years));
@@ -161,16 +180,9 @@ FleetShardResult run_fleet_shard(const FleetSpec& spec, int shard_index, int sha
     const auto over = static_cast<std::size_t>(
         std::ceil(spec.failure_fraction * static_cast<double>(lifetimes.size())));
     const std::size_t kth = std::max<std::size_t>(over, 1) - 1;
-
-    FleetPointOutcome outcome;
-    outcome.index = global_of_point[i];
-    outcome.chip = static_cast<int>(outcome.index % chips);
-    outcome.workload_index = (outcome.index / chips) % workload_count;
-    outcome.policy_index = outcome.index / chips / workload_count;
     outcome.failure_years = lifetimes[kth];
     outcome.worst_duty_percent = worst_duty;
-    shard.outcomes.push_back(outcome);
-  }
+  });
   return shard;
 }
 

@@ -2,7 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
+#include <utility>
+#include <vector>
+
+#ifndef NBTINOC_TEST_DATA_DIR
+#error "NBTINOC_TEST_DATA_DIR must point at the tests/ source directory"
+#endif
 
 namespace nbtinoc::core {
 namespace {
@@ -12,7 +22,8 @@ FleetSpec small_spec() {
   spec.scenario = sim::Scenario::synthetic(2, 2, 0.2);
   spec.scenario.warmup_cycles = 300;
   spec.scenario.measure_cycles = 2'000;
-  spec.policies = {PolicyKind::kBaseline, PolicyKind::kSensorWise};
+  // rr-no-sensor reads no sensor: its cell shares one simulation per shard.
+  spec.policies = {PolicyKind::kBaseline, PolicyKind::kSensorWise, PolicyKind::kRrNoSensor};
   spec.workloads = {{"uniform", Workload::synthetic()}};
   spec.chips = 3;
   return spec;
@@ -60,7 +71,8 @@ TEST(Fleet, ShardSplitsMergeByteIdentically) {
   const auto spec = small_spec();
   const FleetReport whole = run_fleet(spec, 2);
 
-  for (int shard_count : {2, 3}) {
+  // 5 shards > 3 chips: some shards hold one chip of a cell, or none.
+  for (int shard_count : {2, 3, 5}) {
     std::vector<FleetShardResult> shards;
     for (int i = 0; i < shard_count; ++i)
       shards.push_back(run_fleet_shard(spec, i, shard_count, 2));
@@ -123,6 +135,13 @@ TEST(Fleet, MergeRejectsForeignIncompleteAndOverlappingShards) {
   FleetSpec other = spec;
   other.dvth_budget_v = 0.05;
   expect_foreign(other, "budget");
+  // Digest doubles round-trip: six decimals used to hide these two.
+  other = spec;
+  other.dvth_budget_v = 0.0300000004;
+  expect_foreign(other, "budget beyond six decimals");
+  other = spec;
+  other.max_years = 30.0000001;
+  expect_foreign(other, "horizon beyond six decimals");
   other = spec;
   other.scenario.routing = "yx";
   expect_foreign(other, "routing");
@@ -152,11 +171,56 @@ TEST(Fleet, MergeRejectsForeignIncompleteAndOverlappingShards) {
   EXPECT_THROW(merge_fleet_shards(spec, {stray, shard1}), std::runtime_error);
 }
 
+// The fleet's sharing rule, tied to behaviour: a policy's run is the same on
+// every chip's silicon exactly when it reads no sensor, with and without
+// control-path faults. The compared view drops what only echoes the silicon
+// (initial_vth_v, the sensors' most-degraded report) and adds the gate
+// transitions, which to_json omits.
+TEST(Fleet, SensorLessDutyIsChipIndependent) {
+  const auto chip_free_view = [](RunResult r) {
+    std::string transitions;
+    for (auto& [key, port] : r.ports) {
+      port.initial_vth_v.clear();
+      port.most_degraded = 0;
+      for (const std::uint64_t t : port.gate_transitions) transitions += ' ' + std::to_string(t);
+    }
+    return to_json(r) + transitions;
+  };
+  for (const PolicyKind kind :
+       {PolicyKind::kBaseline, PolicyKind::kRrNoSensor, PolicyKind::kSensorWiseNoTraffic,
+        PolicyKind::kSensorWise, PolicyKind::kSensorRank, PolicyKind::kSensorWiseSlotMd,
+        PolicyKind::kRrSlot}) {
+    const bool slot = kind == PolicyKind::kSensorWiseSlotMd || kind == PolicyKind::kRrSlot;
+    for (const std::string org : {"partitioned", "shared"}) {
+      // VC policies gate partitioned banks, slot policies shared pools;
+      // baseline runs on both.
+      if (kind != PolicyKind::kBaseline && slot != (org == "shared")) continue;
+      sim::Scenario s = sim::Scenario::synthetic(2, 4, 0.2);
+      s.buffer_org = org;
+      s.warmup_cycles = 300;
+      s.measure_cycles = 2'000;
+      for (const bool faulty : {false, true}) {
+        RunnerOptions options;
+        if (faulty) options.faults = sim::FaultPlan::uniform(0.02);
+        std::vector<std::string> views;
+        for (int chip = 0; chip < 3; ++chip) {
+          options.initial_vths = sample_network_vths(noc_config_of(s), pv_config_of(s),
+                                                     fleet_chip_seed(s, chip));
+          views.push_back(chip_free_view(run_experiment(s, kind, Workload::synthetic(), options)));
+        }
+        const bool identical = views[0] == views[1] && views[0] == views[2];
+        EXPECT_EQ(identical, !reads_sensors(kind))
+            << to_string(kind) << " on " << org << (faulty ? " with faults" : "");
+      }
+    }
+  }
+}
+
 TEST(Fleet, GroupStatisticsAreOrderedAndBounded) {
   auto spec = small_spec();
   spec.chips = 4;
   const FleetReport report = run_fleet(spec, 2);
-  ASSERT_EQ(report.groups().size(), 2u);  // 2 policies x 1 workload
+  ASSERT_EQ(report.groups().size(), 3u);  // 3 policies x 1 workload
   for (const auto& g : report.groups()) {
     ASSERT_EQ(g.failure_years.size(), 4u);
     EXPECT_LE(g.min_years, g.p10_years);
@@ -172,6 +236,31 @@ TEST(Fleet, GroupStatisticsAreOrderedAndBounded) {
   }
   // Sensor-wise wear leveling must not shorten fleet lifetime vs baseline.
   EXPECT_GE(report.groups()[1].median_years, report.groups()[0].median_years);
+}
+
+// Pins the fleet's output bytes for small_spec(). Regenerate after an
+// intentional change with
+//   NBTINOC_UPDATE_GOLDEN=1 ./build/tests/nbtinoc_tests --gtest_filter='Golden*'
+// then review the diff of tests/integration/golden/fleet_small.{json,csv}.
+TEST(Golden, FleetReportMatchesCheckedInGolden) {
+  const FleetReport report = run_fleet(small_spec(), 2);
+  const bool update = std::getenv("NBTINOC_UPDATE_GOLDEN") != nullptr;
+  const std::string stem = NBTINOC_TEST_DATA_DIR "/integration/golden/fleet_small";
+  for (const auto& [path, actual] : {std::pair{stem + ".json", report.to_json()},
+                                     std::pair{stem + ".csv", report.to_csv()}}) {
+    if (update) {
+      std::ofstream out(path, std::ios::binary);
+      ASSERT_TRUE(out << actual) << "cannot write " << path;
+      continue;
+    }
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << "missing golden file " << path
+                    << " — regenerate with NBTINOC_UPDATE_GOLDEN=1";
+    std::stringstream expected;
+    expected << in.rdbuf();
+    EXPECT_EQ(actual, expected.str()) << "fleet output drifted from " << path;
+  }
+  if (update) GTEST_SKIP() << "fleet golden files regenerated at " << stem << ".{json,csv}";
 }
 
 // Per-chip silicon is sampled over noc_config_of, so fleets run on every
