@@ -5,7 +5,8 @@
 //
 // To regenerate after an *intentional* behavior change:
 //   NBTINOC_UPDATE_GOLDEN=1 ./build/tests/nbtinoc_tests --gtest_filter='Golden*'
-// then review the diff of tests/integration/golden/duty_cycles.json.
+// then review the diff of tests/integration/golden/duty_cycles.json (and
+// fault_storm.json, the faulted-run golden).
 //
 // Only integer counters and duty percentages (exact IEEE ratios of cycle
 // counts) go into the golden file — not the PV Vth samples, whose libm
@@ -31,6 +32,7 @@ namespace nbtinoc::core {
 namespace {
 
 const char* kGoldenPath = NBTINOC_TEST_DATA_DIR "/integration/golden/duty_cycles.json";
+const char* kFaultGoldenPath = NBTINOC_TEST_DATA_DIR "/integration/golden/fault_storm.json";
 
 sim::Scenario golden_scenario() {
   sim::Scenario s = sim::Scenario::synthetic(2, 2, 0.1);
@@ -48,25 +50,30 @@ std::string fmt(double v) {
   return buf;
 }
 
-/// Renders the runs as a stable, line-oriented JSON document: one line per
-/// port so a drift shows up as a small, readable diff.
+/// One line per port (most degraded VC, duty, gate transitions), so a drift
+/// shows up as a small, readable diff.
+void render_ports(std::ostringstream& out, const RunResult& r, const std::string& indent) {
+  std::size_t p = 0;
+  for (const auto& [key, port] : r.ports) {
+    out << indent << "\"r" << key.router << ":" << noc::dir_letter(key.port) << "\": {\"md\": "
+        << port.most_degraded << ", \"duty\": [";
+    for (std::size_t v = 0; v < port.duty_percent.size(); ++v)
+      out << (v ? ", " : "") << fmt(port.duty_percent[v]);
+    out << "], \"gate_transitions\": [";
+    for (std::size_t v = 0; v < port.gate_transitions.size(); ++v)
+      out << (v ? ", " : "") << port.gate_transitions[v];
+    out << "]}" << (++p < r.ports.size() ? "," : "") << "\n";
+  }
+}
+
+/// Renders the runs as a stable, line-oriented JSON document.
 std::string render(const std::vector<SweepPointResult>& runs) {
   std::ostringstream out;
   out << "{\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const RunResult& r = runs[i].result;
     out << "  \"" << to_string(r.policy) << "\": {\n";
-    std::size_t p = 0;
-    for (const auto& [key, port] : r.ports) {
-      out << "    \"r" << key.router << ":" << noc::dir_letter(key.port) << "\": {\"md\": "
-          << port.most_degraded << ", \"duty\": [";
-      for (std::size_t v = 0; v < port.duty_percent.size(); ++v)
-        out << (v ? ", " : "") << fmt(port.duty_percent[v]);
-      out << "], \"gate_transitions\": [";
-      for (std::size_t v = 0; v < port.gate_transitions.size(); ++v)
-        out << (v ? ", " : "") << port.gate_transitions[v];
-      out << "]}" << (++p < r.ports.size() ? "," : "") << "\n";
-    }
+    render_ports(out, r, "    ");
     out << "  }" << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   out << "}\n";
@@ -81,25 +88,18 @@ std::vector<std::string> lines_of(const std::string& text) {
   return lines;
 }
 
-TEST(Golden, DutyCyclesMatchCheckedInGolden) {
-  const std::vector<PolicyKind> policies = {PolicyKind::kBaseline, PolicyKind::kRrNoSensor,
-                                            PolicyKind::kSensorWiseNoTraffic,
-                                            PolicyKind::kSensorWise};
-  SweepRunner sweep{SweepOptions{}};
-  sweep.add_grid({golden_scenario()}, policies);
-  const SweepResult results = sweep.run();
-  const std::string actual = render({results.begin(), results.end()});
-
+/// Compares `actual` with the golden file at `path` line by line, or
+/// rewrites the file (and skips) under NBTINOC_UPDATE_GOLDEN.
+void expect_matches_golden(const char* path, const std::string& actual) {
   if (std::getenv("NBTINOC_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(kGoldenPath);
-    ASSERT_TRUE(out) << "cannot write " << kGoldenPath;
+    std::ofstream out(path);
+    ASSERT_TRUE(out) << "cannot write " << path;
     out << actual;
-    GTEST_SKIP() << "golden file regenerated at " << kGoldenPath << " — review and commit it";
+    GTEST_SKIP() << "golden file regenerated at " << path << " — review and commit it";
   }
 
-  std::ifstream in(kGoldenPath);
-  ASSERT_TRUE(in) << "missing golden file " << kGoldenPath
-                  << " — regenerate with NBTINOC_UPDATE_GOLDEN=1";
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "missing golden file " << path << " — regenerate with NBTINOC_UPDATE_GOLDEN=1";
   std::stringstream buf;
   buf << in.rdbuf();
   const std::string expected = buf.str();
@@ -116,9 +116,19 @@ TEST(Golden, DutyCyclesMatchCheckedInGolden) {
     const std::string& g = i < got.size() ? got[i] : "<missing>";
     if (w != g) diff << "  line " << (i + 1) << ":\n    golden: " << w << "\n    actual: " << g << "\n";
   }
-  FAIL() << "duty cycles drifted from " << kGoldenPath << "\n"
+  FAIL() << "output drifted from " << path << "\n"
          << diff.str()
          << "If this change is intentional, regenerate with NBTINOC_UPDATE_GOLDEN=1 and commit.";
+}
+
+TEST(Golden, DutyCyclesMatchCheckedInGolden) {
+  const std::vector<PolicyKind> policies = {PolicyKind::kBaseline, PolicyKind::kRrNoSensor,
+                                            PolicyKind::kSensorWiseNoTraffic,
+                                            PolicyKind::kSensorWise};
+  SweepRunner sweep{SweepOptions{}};
+  sweep.add_grid({golden_scenario()}, policies);
+  const SweepResult results = sweep.run();
+  expect_matches_golden(kGoldenPath, render({results.begin(), results.end()}));
 }
 
 TEST(Golden, SteppedMatchesGolden) {
@@ -171,6 +181,60 @@ TEST(Golden, ZeroRateFaultPlanMatchesGolden) {
   buf << in.rdbuf();
   EXPECT_EQ(actual, buf.str())
       << "a zero-rate FaultPlan must be a provable no-op against the golden run";
+}
+
+TEST(Golden, FaultStormMatchesCheckedInGolden) {
+  // The faulted counterpart of the duty golden: every fault process (gate
+  // command drops and flips, wake failures, Down_Up drops, sensor faults,
+  // quarantine) draws from one RNG stream at fixed schedule points, so any
+  // change in where or in which order the network and the controller draw
+  // shows up here. Each policy runs on the buffer organization it drives,
+  // under a fabric-wide storm and, once per organization, a targeted one.
+  struct Case {
+    const char* org;
+    PolicyKind policy;
+    bool targeted;
+  };
+  const std::vector<Case> cases = {
+      {"partitioned", PolicyKind::kRrNoSensor, false},
+      {"partitioned", PolicyKind::kSensorWise, false},
+      {"partitioned", PolicyKind::kSensorRank, false},
+      {"partitioned", PolicyKind::kSensorWise, true},
+      {"shared", PolicyKind::kSensorWiseSlotMd, false},
+      {"shared", PolicyKind::kRrSlot, false},
+      {"shared", PolicyKind::kSensorWiseSlotMd, true},
+  };
+  std::ostringstream out;
+  out << "{\n";
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    sim::Scenario s = sim::Scenario::synthetic(3, 4, 0.1);
+    s.buffer_org = c.org;
+    s.name = std::string("fault-golden-9core-4vc-") + c.org;
+    s.warmup_cycles = 1'000;
+    s.measure_cycles = 6'000;
+    RunnerOptions opt;
+    opt.faults = sim::FaultPlan::uniform(0.05);
+    if (c.targeted)
+      opt.faults.targets = {{4, static_cast<int>(noc::Dir::East)},
+                            {0, static_cast<int>(noc::Dir::Local)}};
+    const RunResult r = run_experiment(s, c.policy, Workload::synthetic(), opt);
+
+    out << "  \"" << c.org << "/" << to_string(c.policy) << (c.targeted ? "/targeted" : "")
+        << "\": {\n";
+    out << "    \"total_gate_transitions\": " << r.total_gate_transitions << ",\n";
+    out << "    \"fault_counters\": {";
+    std::size_t k = 0;
+    for (const auto& [key, count] : r.fault_counters)
+      out << (k++ ? ", " : "") << "\"" << key << "\": " << count;
+    out << "},\n";
+    out << "    \"ports\": {\n";
+    render_ports(out, r, "      ");
+    out << "    }\n";
+    out << "  }" << (i + 1 < cases.size() ? "," : "") << "\n";
+  }
+  out << "}\n";
+  expect_matches_golden(kFaultGoldenPath, out.str());
 }
 
 }  // namespace
