@@ -316,12 +316,12 @@ void BM_FleetSensorLess(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetSensorLess)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// Trace-replay engine pair: the legacy CSV/in-memory path (parse the CSV,
-// copy every node's slice into its own vector) vs the NBTITRACE mmap'd
-// zero-copy path (one shared read-only mapping, per-source cursors). Both
-// sides drain the identical record stream through generate_burst; the
-// BENCH_hotpath.json "pair_gates" entry gates the same-machine
-// ratio — the binary engine must beat the CSV baseline by the floor.
+// Trace-replay engine pair: the CSV path (parse the CSV, serialize it with
+// TraceFile::from_trace, then replay) vs the NBTITRACE mmap'd zero-copy path
+// (one shared read-only mapping, per-source cursors). Both sides drain the
+// identical record stream through generate_burst; the BENCH_hotpath.json
+// "pair_gates" entry gates the same-machine ratio — replaying a shared
+// mapping must beat loading the CSV by the floor.
 struct TraceBenchData {
   std::string csv_path;
   std::shared_ptr<const traffic::TraceFile> file;
@@ -371,10 +371,11 @@ std::uint64_t drain_replay(noc::ITrafficSource& src) {
 void BM_TraceReplay_CsvLoad(benchmark::State& state) {
   const TraceBenchData& d = trace_bench_data();
   for (auto _ : state) {
-    const traffic::Trace trace = traffic::Trace::load(d.csv_path);
+    const auto file =
+        traffic::TraceFile::from_trace(traffic::Trace::load(d.csv_path), d.nodes, "csv");
     std::uint64_t total = 0;
     for (noc::NodeId id = 0; id < d.nodes; ++id) {
-      traffic::TraceReplaySource src(trace, id);
+      traffic::TraceReplaySource src(file, id);
       total += drain_replay(src);
     }
     benchmark::DoNotOptimize(total);

@@ -105,15 +105,13 @@ class PolicyGateController final : public noc::IGateController {
   sim::Cycle next_event_cycle(sim::Cycle now) override;
   const char* name() const override;
 
-  /// Installs this controller on the network it was built for.
+  /// Installs this controller on the network it was built for. The fault
+  /// injector is the network's (noc::Network::set_fault_injector): with one
+  /// installed, every Down_Up refresh of a targeted port runs through its
+  /// sensor fault process and arms the port's health watchdog; with none,
+  /// the controller's behavior is bit-identical to a build without this
+  /// subsystem.
   void attach() { network_->set_gate_controller(this); }
-
-  /// Routes every Down_Up refresh through the injector's sensor fault
-  /// process and arms the per-port health watchdogs (non-owning; nullptr
-  /// to detach). With no injector installed the controller's behavior is
-  /// bit-identical to a build without this subsystem.
-  void set_fault_injector(sim::FaultInjector* injector) { injector_ = injector; }
-  sim::FaultInjector* fault_injector() { return injector_; }
 
   /// True while the port's sensors are distrusted and the rr fallback runs.
   bool quarantined(const noc::PortKey& key) const { return ports_.at(key).quarantined; }
@@ -172,7 +170,6 @@ class PolicyGateController final : public noc::IGateController {
   /// cache is bypassed.
   bool shared_ = false;
   std::map<noc::PortKey, PortContext> ports_;
-  sim::FaultInjector* injector_ = nullptr;
 
   /// Earliest sensor-refresh epoch across ports: fault-free post_cycle
   /// calls before this cycle are provable no-ops and return in O(1) — the

@@ -134,8 +134,9 @@ noc::GateCommand PolicyGateController::decide(const noc::PortKey& key,
 }
 
 bool PolicyGateController::fault_targets(const noc::PortKey& key) const {
-  return injector_ != nullptr && injector_->enabled() &&
-         injector_->plan().targets_port(static_cast<int>(key.router), static_cast<int>(key.port));
+  const sim::FaultInjector* injector = network_->fault_injector();
+  return injector != nullptr && injector->enabled() &&
+         injector->plan().targets_port(static_cast<int>(key.router), static_cast<int>(key.port));
 }
 
 noc::GateCommand PolicyGateController::compute(const noc::PortKey& key,
@@ -192,7 +193,8 @@ noc::GateCommand PolicyGateController::compute(const noc::PortKey& key,
 }
 
 void PolicyGateController::post_cycle(sim::Cycle now) {
-  const bool have_injector = injector_ != nullptr && injector_->enabled();
+  const sim::FaultInjector* injector = network_->fault_injector();
+  const bool have_injector = injector != nullptr && injector->enabled();
   // Off-epoch, fault-free calls are strict no-ops (refresh_due is false for
   // every port and update() is epoch-gated with no RNG), so an O(1) fence
   // skips the O(ports) walk until the earliest due epoch. With an injector
@@ -228,7 +230,8 @@ void PolicyGateController::post_cycle(sim::Cycle now) {
 sim::Cycle PolicyGateController::next_event_cycle(sim::Cycle now) {
   // Fault processes advance every cycle (per-cycle stats, RNG draws), so a
   // skip would change the fault stream: pin the horizon to `now`.
-  if (injector_ != nullptr && injector_->enabled()) return now;
+  const sim::FaultInjector* injector = network_->fault_injector();
+  if (injector != nullptr && injector->enabled()) return now;
   // Otherwise post_cycle only acts at sensor epoch boundaries. The refresh
   // itself must be *stepped* (it reads elapsed time and draws noise RNG at
   // exactly its due cycle), so report the earliest due cycle across ports
@@ -245,14 +248,15 @@ void PolicyGateController::faulted_epoch(const noc::PortKey& key, PortContext& c
   const int node = static_cast<int>(key.router);
   const int port = static_cast<int>(key.port);
   const int num_vcs = static_cast<int>(ctx.sensors.size());
+  sim::FaultInjector& injector = *network_->fault_injector();
 
-  injector_->advance_sensor_epoch(node, port, num_vcs);
-  const bool delivered = !injector_->drop_down_up_report();
+  injector.advance_sensor_epoch(node, port, num_vcs);
+  const bool delivered = !injector.drop_down_up_report();
   if (delivered) {
     ctx.epochs_since_report = 0;
     for (int v = 0; v < num_vcs; ++v)
       ctx.effective_vths[static_cast<std::size_t>(v)] =
-          injector_->corrupt_reading(node, port, v, ctx.sensors.measured_vth(static_cast<std::size_t>(v)));
+          injector.corrupt_reading(node, port, v, ctx.sensors.measured_vth(static_cast<std::size_t>(v)));
   } else {
     ++ctx.epochs_since_report;
   }

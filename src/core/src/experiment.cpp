@@ -234,7 +234,6 @@ RunResult run_experiment(sim::Scenario scenario, PolicyKind policy, const Worklo
     injector.emplace(options.faults, scenario.fault_seed() ^ options.faults.seed_salt);
     injector->bind_stats(&network.stats());
     network.set_fault_injector(&*injector);
-    controller.set_fault_injector(&*injector);
   }
 
   const std::uint64_t traffic_seed = scenario.traffic_seed() ^ workload.seed_salt;

@@ -2,8 +2,9 @@
 // The mechanism/policy boundary for NBTI-aware VC power gating.
 //
 // The *mechanism* lives in the NoC: every cycle, the pre-VA logic of the
-// upstream entity (router output port or network interface) emits a
-// GateCommand on the Up_Down link, and the downstream input port obeys it.
+// upstream entity (router output port or network interface) decides a
+// GateCommand, the Up_Down link delivers it within the same cycle, and the
+// downstream input port obeys it.
 // The *policies* (baseline / rr-no-sensor / sensor-wise...) live in the core
 // library and implement IGateController.
 
@@ -25,20 +26,20 @@ class InputUnit;
 /// ([first_vc, first_vc + range_vcs)); the pre-VA policy runs once per vnet
 /// exactly like the paper's single-vnet case. range_vcs = -1 covers the
 /// whole port. keep_vc is a *global* VC index.
+///
+/// Slot form: the form follows the port's buffer organization. On a
+/// shared-pool port all indices address physical pool slots instead of
+/// VCs. With gating_active, keep_vc names one Gated slot to wake
+/// (kInvalidVc: none) and [first_vc, first_vc + range_vcs) names Free slots
+/// to gate, in index order, while the pool's reservation headroom holds
+/// (range_vcs 0 gates nothing). Without gating_active the command wakes
+/// every Gated slot, mirroring the VC form's baseline.
 struct GateCommand {
   bool gating_active = false;
   bool enable = false;  ///< keep_vc is valid: leave exactly that VC idle
   int keep_vc = kInvalidVc;
   int first_vc = 0;
   int range_vcs = -1;
-
-  /// Slot-range form (shared-pool ports only): all indices address physical
-  /// pool slots instead of VCs. With gating_active, keep_vc names one Gated
-  /// slot to wake (kInvalidVc: none) and [first_vc, first_vc + range_vcs)
-  /// names Free slots to gate, in index order, while the pool's reservation
-  /// headroom holds (range_vcs 0 gates nothing). Without gating_active the
-  /// command wakes every Gated slot, mirroring the VC form's baseline.
-  bool slot_form = false;
 };
 
 inline void snapshot_save(sim::SnapshotWriter& w, const GateCommand& c) {
@@ -47,7 +48,6 @@ inline void snapshot_save(sim::SnapshotWriter& w, const GateCommand& c) {
   w.i64(c.keep_vc);
   w.i64(c.first_vc);
   w.i64(c.range_vcs);
-  w.b(c.slot_form);
 }
 
 inline GateCommand snapshot_load_gate_command(sim::SnapshotReader& r) {
@@ -57,7 +57,6 @@ inline GateCommand snapshot_load_gate_command(sim::SnapshotReader& r) {
   c.keep_vc = static_cast<int>(r.i64());
   c.first_vc = static_cast<int>(r.i64());
   c.range_vcs = static_cast<int>(r.i64());
-  c.slot_form = r.b();
   return c;
 }
 

@@ -109,10 +109,8 @@ class InputUnit {
   bool waiting_for_va(int i, sim::Cycle now) const;
   /// Any VC waiting for VA toward output port `port`?
   bool has_new_traffic_toward(Dir port, sim::Cycle now) const;
-  /// Same, restricted to packets of one virtual network.
-  bool has_new_traffic_toward(Dir port, int vnet, sim::Cycle now) const;
-  /// Same, further restricted to packets needing downstream dateline class
-  /// `cls` — the per-class gating decision's traffic signal.
+  /// Same, restricted to packets of one virtual network needing downstream
+  /// dateline class `cls` — the per-class gating decision's traffic signal.
   bool has_new_traffic_toward(Dir port, int vnet, int cls, sim::Cycle now) const;
 
   // --- datapath --------------------------------------------------------------
@@ -125,7 +123,8 @@ class InputUnit {
   }
 
   // --- power gating (Up_Down command execution) ------------------------------
-  /// Executes a delivered Up_Down command. Throws std::invalid_argument on
+  /// Executes a delivered Up_Down command, in slot form on a shared-pool
+  /// port and in VC form otherwise. Throws std::invalid_argument on
   /// structurally impossible commands (first_vc / range / keep_vc outside
   /// the port) — a malformed command is a policy bug, not a modeled fault.
   /// With a fault injector, a wake of a gated buffer may miss its deadline

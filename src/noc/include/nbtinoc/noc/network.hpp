@@ -6,7 +6,8 @@
 //
 // Cycle schedule (one step() call):
 //   1. pre-VA gating: every (upstream, downstream-input-port) pair runs the
-//      installed IGateController and the command is applied (Up_Down link)
+//      installed IGateController, and the Up_Down link delivers the command
+//      to the downstream port in the same cycle (decide + apply, no channel)
 //   2. VA stage of every router
 //   3. SA + ST stage of every router (flits depart onto links)
 //   4. link delivery: arriving flits are buffer-written, credits drained
@@ -75,20 +76,16 @@ class Network {
   void set_gate_controller(IGateController* controller);
   IGateController& gate_controller() { return *controller_; }
 
-  /// Installs the fault injector (non-owning; nullptr to remove). Control
-  /// faults make gate commands traverse their Up_Down channels under a
-  /// fault hook (drop / in-range corruption) and wake handshakes may fail —
-  /// the flit/credit datapath is never touched by them. Structural faults
-  /// (plan().structural) are permanent data-plane kills: the schedule is
-  /// validated and sorted here, and each kill is applied at the start of
+  /// Installs the fault injector (non-owning; nullptr to remove) — the one
+  /// install point: the gate controller reads it through fault_injector().
+  /// Control faults may drop or corrupt (in range) the gate commands
+  /// delivered to the ports the plan targets, and wake handshakes there may
+  /// fail — the flit/credit datapath is never touched by them. Structural
+  /// faults (plan().structural) are permanent data-plane kills: the schedule
+  /// is validated and sorted here, and each kill is applied at the start of
   /// exactly its cycle in every scheduler mode (see apply_structural_faults).
   void set_fault_injector(sim::FaultInjector* injector);
-  sim::FaultInjector* fault_injector() { return injector_; }
-
-  /// The Up_Down command link feeding one router input port (always exists
-  /// for existing ports; commands cross it with zero delay, the paper's
-  /// zero-skew control wiring). Exposed for tests probing drop counts.
-  const Channel<GateCommand>& up_down_link(NodeId router, Dir port) const;
+  sim::FaultInjector* fault_injector() const { return injector_; }
 
   /// Installs the traffic source for one node (owning).
   void set_traffic_source(NodeId node, std::unique_ptr<ITrafficSource> source);
@@ -148,12 +145,6 @@ class Network {
   /// Entering kActiveSet installs channel push hooks and marks every
   /// component active (the first retire pass parks what it can); leaving
   /// removes the hooks.
-  ///
-  /// kActiveSet caveat: when the *gate controller* carries a fault
-  /// injector, the network must carry one with the same FaultPlan too —
-  /// faulted ports can emit time-varying commands, and it is the network's
-  /// injector that pins their routers active. core::run_experiment always
-  /// installs both together.
   void set_scheduler_mode(SchedulerMode mode);
   SchedulerMode scheduler_mode() const { return scheduler_mode_; }
 
@@ -223,10 +214,17 @@ class Network {
   /// every port/vnet/class) — shared by the full walk and the active-set
   /// scheduler.
   void gating_stage_for(NodeId id, sim::Cycle now);
-  /// The injector seen by `apply_gate_command` at this port: the installed
-  /// one if the plan targets the port (an empty target list targets all),
-  /// nullptr otherwise — untargeted ports must not draw wake-fail RNG.
+  /// The injector of the control faults at this port: the installed one if
+  /// its plan has control faults and targets the port (an empty target list
+  /// targets all), nullptr otherwise — untargeted ports draw no fault RNG.
   sim::FaultInjector* injector_for(NodeId id, Dir port) const;
+  /// The Up_Down link: delivers one decided command to input port `iu` in
+  /// the cycle it was decided. With `faults` (a targeted port), the command
+  /// may be dropped (the port holds its state) or corrupted in range —
+  /// slot-modulus on a shared pool, a VC rotation otherwise — before it is
+  /// applied.
+  void deliver_gate_command(InputUnit& iu, GateCommand cmd, sim::Cycle now,
+                            sim::FaultInjector* faults);
 
   // --- active-set scheduler ---------------------------------------------------
   /// One cycle stepping only active components (the kActiveSet step()).
@@ -268,7 +266,6 @@ class Network {
   /// depth - in-flight flits - in-flight credits - downstream occupancy.
   void restore_credits();
 
-  Channel<GateCommand>& up_down_link_mutable(NodeId router, Dir port);
   /// Last applied gating mode (gating_active) per (router, port, vnet,
   /// dateline class) — written by gating_stage, read by the park condition
   /// to pick which fixed point (all-gated vs all-idle) each port must
@@ -300,9 +297,6 @@ class Network {
   };
   std::vector<ChannelSink> flit_sinks_;
   std::vector<ChannelSink> credit_sinks_;
-  /// Up_Down command links, indexed router * ports_per_router + port (null
-  /// where the input port does not exist).
-  std::vector<std::unique_ptr<Channel<GateCommand>>> up_down_links_;
   std::vector<std::unique_ptr<ITrafficSource>> sources_;
 
   AlwaysOnController baseline_controller_;

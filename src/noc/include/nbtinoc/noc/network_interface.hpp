@@ -53,10 +53,8 @@ class NetworkInterface {
   /// True if a queued packet is still waiting for a VC — the NI-side
   /// is_new_traffic() input to the gating policy of the Local input port.
   bool has_new_traffic(sim::Cycle now) const;
-  /// Same, restricted to one virtual network (the pre-VA policy runs once
-  /// per vnet).
-  bool has_new_traffic(int vnet, sim::Cycle now) const;
-  /// Same, further restricted to one dateline class (per-class gating).
+  /// Same, restricted to one virtual network and one dateline class (the
+  /// pre-VA policy runs once per (vnet, class)).
   bool has_new_traffic(int vnet, int cls, sim::Cycle now) const;
 
   std::size_t queue_depth() const { return queue_.size(); }

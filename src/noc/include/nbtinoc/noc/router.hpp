@@ -99,10 +99,9 @@ class Router {
   /// True if any input VC holds a routed head flit toward `out` that has no
   /// output VC yet — is_new_traffic_outport_x() of Algorithms 1 and 2.
   bool has_new_traffic_toward(Dir out, sim::Cycle now) const;
-  /// Same, restricted to packets of one virtual network.
-  bool has_new_traffic_toward(Dir out, int vnet, sim::Cycle now) const;
-  /// Same, further restricted to one downstream dateline class (the
-  /// per-class gating decision's traffic signal).
+  /// Same, restricted to packets of one virtual network needing one
+  /// downstream dateline class (the per-class gating decision's traffic
+  /// signal).
   bool has_new_traffic_toward(Dir out, int vnet, int cls, sim::Cycle now) const;
 
   // --- routing ---------------------------------------------------------------

@@ -66,15 +66,6 @@ bool InputUnit::has_new_traffic_toward(Dir port, sim::Cycle now) const {
   return false;
 }
 
-bool InputUnit::has_new_traffic_toward(Dir port, int vnet, sim::Cycle now) const {
-  if (busy_vcs_ == 0) return false;
-  for (int i = 0; i < num_vcs(); ++i) {
-    if (waiting_for_va(i, now) && vc(i).route() == port && vc(i).front().vnet == vnet)
-      return true;
-  }
-  return false;
-}
-
 bool InputUnit::has_new_traffic_toward(Dir port, int vnet, int cls, sim::Cycle now) const {
   if (busy_vcs_ == 0) return false;
   for (int i = 0; i < num_vcs(); ++i) {
@@ -100,13 +91,10 @@ void InputUnit::receive_flit(const Flit& flit, Dir route, int next_class, sim::C
 
 void InputUnit::apply_gate_command(const GateCommand& cmd, sim::Cycle now,
                                    sim::FaultInjector* faults) {
-  if (cmd.slot_form) {
+  if (pool_ != nullptr) {
     apply_slot_gate_command(cmd, now, faults);
     return;
   }
-  if (pool_ != nullptr)
-    throw std::invalid_argument(
-        "InputUnit::apply_gate_command: VC-form command on a shared-pool port");
   const int first = cmd.first_vc;
   if (first < 0 || first >= num_vcs())
     throw std::invalid_argument("InputUnit::apply_gate_command: first_vc " +
@@ -149,9 +137,6 @@ void InputUnit::apply_gate_command(const GateCommand& cmd, sim::Cycle now,
 
 void InputUnit::apply_slot_gate_command(const GateCommand& cmd, sim::Cycle now,
                                         sim::FaultInjector* faults) {
-  if (pool_ == nullptr)
-    throw std::invalid_argument(
-        "InputUnit::apply_gate_command: slot-form command on a partitioned port");
   SharedBufferPool& pool = *pool_;
   const int slots = pool.num_slots();
   if (cmd.first_vc < 0 || cmd.first_vc > slots)

@@ -82,22 +82,10 @@ Network::Network(NocConfig config) : config_(config), controller_(&baseline_cont
   wake_heap_.reserve(static_cast<std::size_t>(n) + 4 * static_cast<std::size_t>(terminals));
   pinned_routers_.assign(static_cast<std::size_t>(n), 0);
 
-  // Up_Down command links, one per existing input port. Delay 0: the
-  // upstream pre-VA logic and the downstream header PMOS share a cycle
-  // (the paper's dedicated control wiring), but commands still *traverse a
-  // channel*, giving the fault injector a delivery point to drop or
-  // corrupt them at.
   gating_record_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(ports) *
                             static_cast<std::size_t>(config_.num_vnets) *
                             static_cast<std::size_t>(config_.vc_classes()),
                         0);
-
-  up_down_links_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(ports));
-  for (NodeId id = 0; id < n; ++id)
-    for (int p = 0; p < ports; ++p)
-      if (router(id).has_input(static_cast<Dir>(p)))
-        up_down_links_[static_cast<std::size_t>(id) * static_cast<std::size_t>(ports) +
-                       static_cast<std::size_t>(p)] = std::make_unique<Channel<GateCommand>>(0);
 }
 
 void Network::set_gate_controller(IGateController* controller) {
@@ -117,74 +105,8 @@ void Network::set_traffic_source(NodeId node, std::unique_ptr<ITrafficSource> so
   if (scheduler_mode_ == SchedulerMode::kActiveSet) active_nis_.insert(node);
 }
 
-Channel<GateCommand>& Network::up_down_link_mutable(NodeId router, Dir port) {
-  const auto ports = static_cast<std::size_t>(config_.ports_per_router());
-  auto& link = up_down_links_.at(static_cast<std::size_t>(router) * ports +
-                                 static_cast<std::size_t>(port));
-  if (link == nullptr) throw std::invalid_argument("Network::up_down_link: port does not exist");
-  return *link;
-}
-
-const Channel<GateCommand>& Network::up_down_link(NodeId router, Dir port) const {
-  const auto ports = static_cast<std::size_t>(config_.ports_per_router());
-  const auto& link = up_down_links_.at(static_cast<std::size_t>(router) * ports +
-                                       static_cast<std::size_t>(port));
-  if (link == nullptr) throw std::invalid_argument("Network::up_down_link: port does not exist");
-  return *link;
-}
-
 void Network::set_fault_injector(sim::FaultInjector* injector) {
   injector_ = injector;
-  const int ports = config_.ports_per_router();
-  // Control-plane hooks and pins only exist for control-enabled plans: a
-  // structural-only plan must leave every Up_Down link on the zero-overhead
-  // exact-delivery path (no RNG draws, no pinned routers) — its kills are
-  // fixed-cycle events the schedulers fence on instead.
-  const bool control = injector_ != nullptr && injector_->plan().control_enabled();
-  for (NodeId id = 0; id < num_routers(); ++id) {
-    for (int p = 0; p < ports; ++p) {
-      auto& link = up_down_links_[static_cast<std::size_t>(id) * static_cast<std::size_t>(ports) +
-                                  static_cast<std::size_t>(p)];
-      if (link == nullptr) continue;
-      // The storm only touches links its plan targets (an empty target list
-      // targets everything — the pre-locality behavior). Untargeted links
-      // keep the zero-overhead exact-delivery path and draw no RNG, so the
-      // active-set scheduler can go on parking their routers.
-      if (!control || !injector_->plan().targets_port(id, p)) {
-        link->set_fault_hook({});
-        continue;
-      }
-      link->set_fault_hook([this](GateCommand& cmd, sim::Cycle) {
-        if (injector_->drop_gate_command()) return false;
-        int shift = 0;
-        if (cmd.slot_form) {
-          const int slots = config_.pool_slots();
-          if (injector_->flip_gate_command(slots, &shift)) {
-            // Slot-form corruption: the wake target rotates across the pool
-            // (or a spurious wake appears); the downstream apply tolerates
-            // targets in the wrong state, so corruption degrades gracefully.
-            cmd.enable = true;
-            cmd.keep_vc = cmd.keep_vc == kInvalidVc ? shift : (cmd.keep_vc + shift) % slots;
-          }
-          return true;
-        }
-        if (injector_->flip_gate_command(cmd.range_vcs, &shift)) {
-          // Corrupt the command but keep it well-formed for its vnet range:
-          // a valid keep_vc rotates within the range; a command that kept
-          // nothing awake gains a spurious enable on an arbitrary range VC.
-          const int range = cmd.range_vcs;
-          if (cmd.enable && cmd.keep_vc != kInvalidVc) {
-            cmd.keep_vc = cmd.first_vc + (cmd.keep_vc - cmd.first_vc + shift) % range;
-          } else {
-            cmd.gating_active = true;
-            cmd.enable = true;
-            cmd.keep_vc = cmd.first_vc + shift;
-          }
-        }
-        return true;
-      });
-    }
-  }
   refresh_fault_pins();
 
   // Structural kill schedule: validate, sort (cycle, router, port) so the
@@ -219,7 +141,7 @@ void Network::refresh_fault_pins() {
     for (int p = 0; p < ports; ++p) {
       if (!router(id).has_input(static_cast<Dir>(p))) continue;
       if (!injector_->plan().targets_port(id, p)) continue;
-      // Every fault process at this router (link hook draws, wake-fail
+      // Every fault process at this router (gate-command draws, wake-fail
       // draws, the controller's per-epoch sensor machinery) must run at its
       // stepped-schedule position, so the router can never park.
       pinned_routers_[static_cast<std::size_t>(id)] = 1;
@@ -230,8 +152,40 @@ void Network::refresh_fault_pins() {
 }
 
 sim::FaultInjector* Network::injector_for(NodeId id, Dir port) const {
+  // A structural-only plan draws no control RNG anywhere: its kills are
+  // fixed-cycle events the schedulers fence on instead.
   if (injector_ == nullptr || !injector_->plan().control_enabled()) return nullptr;
   return injector_->plan().targets_port(id, static_cast<int>(port)) ? injector_ : nullptr;
+}
+
+void Network::deliver_gate_command(InputUnit& iu, GateCommand cmd, sim::Cycle now,
+                                   sim::FaultInjector* faults) {
+  if (faults != nullptr) {
+    if (faults->drop_gate_command()) return;  // lost: the port holds its state
+    int shift = 0;
+    if (const SharedBufferPool* pool = iu.pool()) {
+      const int slots = pool->num_slots();
+      if (faults->flip_gate_command(slots, &shift)) {
+        // Slot-form corruption: the wake target rotates across the pool (or
+        // a spurious wake appears); the apply tolerates targets in the wrong
+        // state, so corruption degrades gracefully.
+        cmd.enable = true;
+        cmd.keep_vc = cmd.keep_vc == kInvalidVc ? shift : (cmd.keep_vc + shift) % slots;
+      }
+    } else if (faults->flip_gate_command(cmd.range_vcs, &shift)) {
+      // Corrupt the command but keep it well-formed for its vnet range: a
+      // valid keep_vc rotates within the range; a command that kept nothing
+      // awake gains a spurious enable on an arbitrary range VC.
+      if (cmd.enable && cmd.keep_vc != kInvalidVc) {
+        cmd.keep_vc = cmd.first_vc + (cmd.keep_vc - cmd.first_vc + shift) % cmd.range_vcs;
+      } else {
+        cmd.gating_active = true;
+        cmd.enable = true;
+        cmd.keep_vc = cmd.first_vc + shift;
+      }
+    }
+  }
+  iu.apply_gate_command(cmd, now, faults);
 }
 
 void Network::gating_stage() {
@@ -263,16 +217,13 @@ void Network::gating_stage_for(NodeId id, sim::Cycle now) {
         new_traffic = router(upstream).has_new_traffic_toward(opposite(port), now);
       }
       const OutVcStateView view(&r.input(port));
-      GateCommand cmd = controller_->decide(PortKey{id, port}, view, new_traffic, now);
-      cmd.slot_form = true;  // slot indices are pool-absolute: no rebase
+      // Slot indices are pool-absolute: no rebase.
+      const GateCommand cmd = controller_->decide(PortKey{id, port}, view, new_traffic, now);
       const unsigned char active = cmd.gating_active ? 1 : 0;
       for (int vn = 0; vn < config_.num_vnets; ++vn)
         for (int cls = 0; cls < num_classes; ++cls)
           gating_record_[gating_record_index(id, port, vn, cls)] = active;
-      Channel<GateCommand>& link = up_down_link_mutable(id, port);
-      link.push(cmd, now);
-      while (auto delivered = link.pop_ready(now))
-        r.input(port).apply_gate_command(*delivered, now, port_injector);
+      deliver_gate_command(r.input(port), cmd, now, port_injector);
       continue;
     }
     // One pre-VA decision per (virtual network, dateline class): each
@@ -299,14 +250,7 @@ void Network::gating_stage_for(NodeId id, sim::Cycle now) {
         cmd.first_vc = first;
         cmd.range_vcs = config_.class_num_vcs(cls);
         gating_record_[gating_record_index(id, port, vn, cls)] = cmd.gating_active ? 1 : 0;
-        // The command crosses its Up_Down channel (delay 0: push, then
-        // pop the same cycle). Under fault injection the channel's hook
-        // may drop it — the downstream port then simply holds state —
-        // or corrupt it in range.
-        Channel<GateCommand>& link = up_down_link_mutable(id, port);
-        link.push(cmd, now);
-        while (auto delivered = link.pop_ready(now))
-          r.input(port).apply_gate_command(*delivered, now, port_injector);
+        deliver_gate_command(r.input(port), cmd, now, port_injector);
       }
     }
   }
@@ -411,8 +355,6 @@ void Network::install_push_hooks() {
         wake_router_at(sink.id, ready_at);
     });
   }
-  // Up_Down links are delay-0 and drained inside the sender's own gating
-  // stage — no receiver to wake.
 }
 
 void Network::remove_push_hooks() {
@@ -965,19 +907,10 @@ void Network::save_state(sim::SnapshotWriter& w) const {
   const auto save_credit = [](sim::SnapshotWriter& out, const Credit& c) {
     snapshot_save(out, c);
   };
-  const auto save_command = [](sim::SnapshotWriter& out, const GateCommand& c) {
-    snapshot_save(out, c);
-  };
   w.u64(flit_channels_.size());
   for (const auto& link : flit_channels_) link->save(w, save_flit);
   w.u64(credit_channels_.size());
   for (const auto& link : credit_channels_) link->save(w, save_credit);
-  std::uint64_t up_down_count = 0;
-  for (const auto& link : up_down_links_)
-    if (link) ++up_down_count;
-  w.u64(up_down_count);
-  for (const auto& link : up_down_links_)
-    if (link) link->save(w, save_command);
 
   for (const auto& source : sources_) {
     w.b(source != nullptr);
@@ -1028,17 +961,10 @@ void Network::load_state(sim::SnapshotReader& r) {
 
   const auto load_flit = [](sim::SnapshotReader& in) { return snapshot_load_flit(in); };
   const auto load_credit = [](sim::SnapshotReader& in) { return snapshot_load_credit(in); };
-  const auto load_command = [](sim::SnapshotReader& in) { return snapshot_load_gate_command(in); };
   r.expect_u64(flit_channels_.size(), "flit-channel count");
   for (auto& link : flit_channels_) link->load(r, load_flit);
   r.expect_u64(credit_channels_.size(), "credit-channel count");
   for (auto& link : credit_channels_) link->load(r, load_credit);
-  std::uint64_t up_down_count = 0;
-  for (const auto& link : up_down_links_)
-    if (link) ++up_down_count;
-  r.expect_u64(up_down_count, "up-down link count");
-  for (auto& link : up_down_links_)
-    if (link) link->load(r, load_command);
 
   for (std::size_t t = 0; t < sources_.size(); ++t) {
     const bool present = r.b();

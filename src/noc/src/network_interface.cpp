@@ -82,12 +82,8 @@ bool NetworkInterface::has_new_traffic(sim::Cycle now) const {
   return !queue_.empty() && queue_.front().injected_at < now;
 }
 
-bool NetworkInterface::has_new_traffic(int vnet, sim::Cycle now) const {
-  return has_new_traffic(now) && queue_.front().vnet == vnet;
-}
-
 bool NetworkInterface::has_new_traffic(int vnet, int cls, sim::Cycle now) const {
-  return has_new_traffic(vnet, now) && front_class() == cls;
+  return has_new_traffic(now) && queue_.front().vnet == vnet && front_class() == cls;
 }
 
 int NetworkInterface::front_class() const {

@@ -178,14 +178,6 @@ bool Router::has_new_traffic_toward(Dir out, sim::Cycle now) const {
   return false;
 }
 
-bool Router::has_new_traffic_toward(Dir out, int vnet, sim::Cycle now) const {
-  for (int p = 0; p < ports_; ++p) {
-    const auto& iu = inputs_[static_cast<std::size_t>(p)];
-    if (iu && iu->has_new_traffic_toward(out, vnet, now)) return true;
-  }
-  return false;
-}
-
 bool Router::has_new_traffic_toward(Dir out, int vnet, int cls, sim::Cycle now) const {
   for (int p = 0; p < ports_; ++p) {
     const auto& iu = inputs_[static_cast<std::size_t>(p)];

@@ -18,10 +18,12 @@
 //     dead     — the reading pegs at `dead_reading_v` (a rail)
 //     repair   — any faulty site returns to healthy (transient faults)
 //   control links:
-//     gate_cmd_drop — an Up_Down GateCommand is lost in flight
+//     gate_cmd_drop — an Up_Down GateCommand is lost in flight (drawn once
+//                     per decided command on a targeted port)
 //     gate_cmd_flip — a delivered GateCommand is corrupted (keep_vc
 //                     rotated within its vnet range / enable toggled on
-//                     with an arbitrary in-range keep_vc); corrupted
+//                     with an arbitrary in-range keep_vc; on a shared pool
+//                     the wake slot rotates modulo the pool); corrupted
 //                     commands stay well-formed, they are just *wrong*
 //     down_up_drop  — one refresh epoch's Down_Up report is lost; the
 //                     upstream keeps acting on stale readings
@@ -93,8 +95,8 @@ struct FaultPlan {
   double dead_reading_v = 0.0;      ///< rail a dead sensor reports
 
   // --- control-link faults -------------------------------------------------
-  double gate_cmd_drop_rate = 0.0;  ///< per delivered Up_Down command
-  double gate_cmd_flip_rate = 0.0;  ///< per delivered Up_Down command
+  double gate_cmd_drop_rate = 0.0;  ///< per decided command on a targeted port
+  double gate_cmd_flip_rate = 0.0;  ///< per command not dropped on a targeted port
   double down_up_drop_rate = 0.0;   ///< per port refresh epoch
   double wake_fail_rate = 0.0;      ///< per wake attempt on a gated buffer
 
@@ -159,14 +161,16 @@ class FaultInjector {
   /// a string.
   void bind_stats(StatRegistry* stats);
 
-  // --- Up_Down link (one call per delivered GateCommand) -------------------
-  /// True: the command is lost in flight.
+  // --- Up_Down link (noc::Network::deliver_gate_command, targeted ports) ---
+  /// True: the command is lost in flight. Drawn once per decided command.
   bool drop_gate_command();
-  /// True: corrupt the delivered command. `range_vcs` is the size of the
-  /// command's vnet subrange; on true, *keep_vc_shift in [0, range_vcs) is
-  /// the rotation to apply to a valid keep_vc (or the absolute local VC to
-  /// enable when the original command kept nothing awake). Corrupted
-  /// commands remain structurally valid for the range.
+  /// True: corrupt the command. Drawn right after drop_gate_command, for
+  /// commands it kept. `range_vcs` is the size of the command's vnet
+  /// subrange (the pool's slot count for a slot-form command); on true,
+  /// *keep_vc_shift in [0, range_vcs) is the rotation to apply to a valid
+  /// keep_vc (or the absolute local VC to enable when the original command
+  /// kept nothing awake). Corrupted commands remain structurally valid for
+  /// the range.
   bool flip_gate_command(int range_vcs, int* keep_vc_shift);
 
   // --- wake handshake ------------------------------------------------------

@@ -43,8 +43,9 @@ class SnapshotError : public std::runtime_error {
 /// First 8 bytes of every snapshot file.
 inline constexpr std::string_view kSnapshotMagic = "NBTISNAP";
 /// Bump on any layout change; readers reject other versions outright.
-/// v2: GateCommand slot_form flag + shared-pool port state (ARCHITECTURE §14).
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+/// v2: shared-pool port state (ARCHITECTURE §14).
+/// v3: no Up_Down links, channel drop counters or GateCommand slot-form byte.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Appends primitives to a growing byte buffer (little-endian).
 class SnapshotWriter {

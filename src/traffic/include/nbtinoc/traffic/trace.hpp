@@ -74,17 +74,14 @@ class Trace final : public noc::ITraceSink {
   std::vector<TraceRecord> records_;
 };
 
-/// Replays one node's slice of a trace.
-///
-/// Two constructions: the legacy in-memory form copies its per-node slice
-/// out of a Trace (small tooling runs), and the zero-copy form holds a
-/// cursor into a shared TraceFile mapping — O(1) memory per source, no
-/// allocation ever. Same-cycle records are offered as one burst through
-/// generate_burst(); the single-packet maybe_generate() keeps the historical
-/// slip-forward semantics for callers without a burst path.
+/// Replays one node's slice of a trace: a cursor into a shared TraceFile
+/// mapping — O(1) memory per source, no allocation ever. An in-memory Trace
+/// replays through TraceFile::from_trace. Same-cycle records are offered as
+/// one burst through generate_burst(); the single-packet maybe_generate()
+/// keeps the historical slip-forward semantics for callers without a burst
+/// path.
 class TraceReplaySource final : public noc::ITrafficSource {
  public:
-  TraceReplaySource(const Trace& trace, noc::NodeId node);
   /// Zero-copy replay out of `file` (kept alive by the shared_ptr).
   TraceReplaySource(std::shared_ptr<const TraceFile> file, noc::NodeId node);
 
@@ -106,16 +103,12 @@ class TraceReplaySource final : public noc::ITrafficSource {
   void load(sim::SnapshotReader& r) override { next_ = static_cast<std::size_t>(r.u64()); }
 
  private:
-  std::size_t count() const { return file_ ? slice_.size() : mine_.size(); }
-  sim::Cycle cycle_at(std::size_t i) const { return file_ ? slice_.cycle(i) : mine_[i].cycle; }
   noc::PacketRequest request_at(std::size_t i) const {
-    if (file_) return noc::PacketRequest{slice_.dst(i), slice_.length(i), slice_.vnet(i)};
-    return noc::PacketRequest{mine_[i].dst, mine_[i].length, mine_[i].vnet};
+    return noc::PacketRequest{slice_.dst(i), slice_.length(i), slice_.vnet(i)};
   }
 
-  std::shared_ptr<const TraceFile> file_;  ///< null for the in-memory form
+  std::shared_ptr<const TraceFile> file_;  ///< keeps the mapping alive
   TraceSlice slice_;                       ///< window into file_'s mapping
-  std::vector<TraceRecord> mine_;          ///< in-memory form only
   std::size_t next_ = 0;
 };
 

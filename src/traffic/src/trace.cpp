@@ -108,13 +108,6 @@ Trace Trace::capture(std::vector<noc::ITrafficSource*> sources, sim::Cycle cycle
   return trace;
 }
 
-TraceReplaySource::TraceReplaySource(const Trace& trace, noc::NodeId node) {
-  for (const auto& rec : trace.records())
-    if (rec.src == node) mine_.push_back(rec);
-  std::stable_sort(mine_.begin(), mine_.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) { return a.cycle < b.cycle; });
-}
-
 TraceReplaySource::TraceReplaySource(std::shared_ptr<const TraceFile> file, noc::NodeId node)
     : file_(std::move(file)) {
   if (file_ == nullptr) throw std::invalid_argument("TraceReplaySource: null TraceFile");
@@ -128,7 +121,7 @@ TraceReplaySource::TraceReplaySource(std::shared_ptr<const TraceFile> file, noc:
 std::optional<noc::PacketRequest> TraceReplaySource::maybe_generate(sim::Cycle now) {
   // Single-packet legacy path: one record per call; later same-cycle
   // records slip to subsequent calls, preserving order.
-  if (next_ >= count() || cycle_at(next_) > now) return std::nullopt;
+  if (next_ >= slice_.size() || slice_.cycle(next_) > now) return std::nullopt;
   return request_at(next_++);
 }
 
@@ -137,13 +130,14 @@ std::size_t TraceReplaySource::generate_burst(sim::Cycle now, noc::PacketRequest
   // A whole same-cycle run (including records slipped from earlier cycles
   // when a previous burst hit `max`) in one call, zero allocations.
   std::size_t n = 0;
-  while (n < max && next_ < count() && cycle_at(next_) <= now) out[n++] = request_at(next_++);
+  while (n < max && next_ < slice_.size() && slice_.cycle(next_) <= now)
+    out[n++] = request_at(next_++);
   return n;
 }
 
 sim::Cycle TraceReplaySource::next_event_cycle(sim::Cycle now) {
-  if (next_ >= count()) return sim::kCycleNever;
-  return std::max(now, cycle_at(next_));
+  if (next_ >= slice_.size()) return sim::kCycleNever;
+  return std::max(now, slice_.cycle(next_));
 }
 
 }  // namespace nbtinoc::traffic

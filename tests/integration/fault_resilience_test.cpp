@@ -1,8 +1,10 @@
 // Fault-injection end-to-end: the storm may drop/corrupt every control
-// message, but the datapath invariants must hold for every policy, the
-// health watchdogs must quarantine ports whose sensors stop making sense
-// (and demonstrably run the rr fallback there), and a faulted sweep must
-// stay bit-identical at any worker count.
+// message, but the datapath invariants must hold for every policy, a
+// dropped or corrupted gate command must reach only the ports the plan
+// targets and stay in range there, the health watchdogs must quarantine
+// ports whose sensors stop making sense (and demonstrably run the rr
+// fallback there), and a faulted sweep must stay bit-identical at any
+// worker count.
 
 #include <gtest/gtest.h>
 
@@ -72,6 +74,109 @@ TEST(FaultResilience, InvariantsHoldUnderStormOnEveryTopology) {
     EXPECT_TRUE(r.invariant_violations.empty())
         << topology << ": " << r.invariant_violations.front();
   }
+}
+
+// --- Up_Down delivery rules ------------------------------------------------
+
+std::uint64_t port_transitions(const PortResult& port) {
+  std::uint64_t total = 0;
+  for (std::uint64_t t : port.gate_transitions) total += t;
+  return total;
+}
+
+// A plan that drops every gate command of one port (router 5 East of a
+// 4x4 mesh): that port never gates, so every buffer stays powered all
+// window long, and the storm touches nothing else — all 63 other ports
+// still gate.
+void expect_drops_freeze_only_the_targeted_port(const char* buffer_org, PolicyKind policy) {
+  sim::Scenario s = sim::Scenario::synthetic(4, 4, 0.1);
+  s.buffer_org = buffer_org;
+  s.name = std::string("drop-target-") + buffer_org;
+  s.warmup_cycles = 1'000;
+  s.measure_cycles = 4'000;
+  RunnerOptions opt;
+  opt.faults.gate_cmd_drop_rate = 1.0;
+  const noc::PortKey targeted{5, noc::Dir::East};
+  opt.faults.targets = {{static_cast<int>(targeted.router), static_cast<int>(targeted.port)}};
+  const RunResult r = run_experiment(s, policy, Workload::synthetic(), opt);
+  EXPECT_GT(fault_count(r, "fault.gate_cmd_drops"), 0u);
+  ASSERT_EQ(r.ports.size(), 64u);
+  for (const auto& [key, port] : r.ports) {
+    if (key == targeted) {
+      EXPECT_EQ(port_transitions(port), 0u);
+      for (double duty : port.duty_percent) EXPECT_EQ(duty, 100.0);
+    } else {
+      EXPECT_GT(port_transitions(port), 0u)
+          << "router " << key.router << " port " << noc::to_string(key.port);
+    }
+  }
+}
+
+TEST(FaultResilience, DroppedCommandsFreezeOnlyTheTargetedPort) {
+  expect_drops_freeze_only_the_targeted_port("partitioned", PolicyKind::kSensorWise);
+}
+
+// Slot-form commands on a shared pool are dropped by the same rule.
+TEST(FaultResilience, DroppedSlotCommandsFreezeOnlyTheTargetedPort) {
+  expect_drops_freeze_only_the_targeted_port("shared", PolicyKind::kSensorWiseSlotMd);
+}
+
+// Every delivered command is corrupted, yet each corruption stays in range
+// for the port it lands on — a VC rotation within the command's (vnet,
+// class) subrange, or a slot rotation modulo the pool — so no apply throws
+// and the datapath invariants hold on multi-vnet, multi-class and shared
+// ports alike.
+TEST(FaultResilience, FlippedCommandsStayInRangeOnEveryLayout) {
+  struct Layout {
+    const char* name;
+    const char* topology;
+    int vnets;
+    const char* org;
+    PolicyKind policy;
+  };
+  for (const Layout& l :
+       {Layout{"2-vnet", "mesh", 2, "partitioned", PolicyKind::kSensorWise},
+        Layout{"torus", "torus", 1, "partitioned", PolicyKind::kSensorWise},
+        Layout{"shared", "mesh", 1, "shared", PolicyKind::kSensorWiseSlotMd}}) {
+    SCOPED_TRACE(l.name);
+    sim::Scenario s = sim::Scenario::synthetic(4, 4, 0.1);
+    s.topology = l.topology;
+    s.num_vnets = l.vnets;
+    s.buffer_org = l.org;
+    s.name = std::string("flip-") + l.name;
+    s.warmup_cycles = 500;
+    s.measure_cycles = 2'000;
+    RunnerOptions opt;
+    opt.faults.gate_cmd_flip_rate = 1.0;
+    opt.check_invariants = true;
+    RunResult r;
+    ASSERT_NO_THROW(r = run_experiment(s, l.policy, Workload::synthetic(), opt));
+    EXPECT_GT(fault_count(r, "fault.gate_cmd_flips"), 0u);
+    EXPECT_GT(r.flits_ejected, 0u);
+    EXPECT_TRUE(r.invariant_violations.empty()) << r.invariant_violations.front();
+  }
+}
+
+// The baseline never gates, but a corrupted command that kept nothing awake
+// gains an enable bit and gating mode: at the one port the plan targets,
+// the flipped commands switch gating on, and only there.
+TEST(FaultResilience, FlippedBaselineCommandsGateOnlyTheTargetedPort) {
+  sim::Scenario s = small_scenario();
+  s.name = "flip-baseline";
+  RunnerOptions opt;
+  opt.faults.gate_cmd_flip_rate = 1.0;
+  const noc::PortKey targeted{0, noc::Dir::East};
+  opt.faults.targets = {{static_cast<int>(targeted.router), static_cast<int>(targeted.port)}};
+  const RunResult r = run_experiment(s, PolicyKind::kBaseline, Workload::synthetic(), opt);
+  EXPECT_GT(fault_count(r, "fault.gate_cmd_flips"), 0u);
+  for (const auto& [key, port] : r.ports) {
+    if (key == targeted)
+      EXPECT_GT(port_transitions(port), 0u);
+    else
+      EXPECT_EQ(port_transitions(port), 0u)
+          << "router " << key.router << " port " << noc::to_string(key.port);
+  }
+  EXPECT_EQ(r.total_gate_transitions, port_transitions(r.port(targeted.router, targeted.port)));
 }
 
 TEST(FaultResilience, SensorPoliciesQuarantineUnderStorm) {
@@ -145,7 +250,7 @@ TEST(FaultResilience, StalePortFallsBackToRoundRobin) {
     sim::FaultPlan plan;
     plan.down_up_drop_rate = 1.0;  // every Down_Up report lost
     sim::FaultInjector injector(plan, /*seed=*/3);
-    ctrl.set_fault_injector(&injector);
+    net.set_fault_injector(&injector);
 
     const noc::PortKey key{0, noc::Dir::East};
     const noc::OutVcStateView view(&net.router(0).input(noc::Dir::East));
@@ -218,7 +323,7 @@ TEST(FaultResilience, PortsOffThePlanGetTheirReportIntact) {
   plan.down_up_drop_rate = 1.0;
   plan.targets = {{static_cast<int>(targeted.router), static_cast<int>(targeted.port)}};
   sim::FaultInjector injector(plan, /*seed=*/3);
-  ctrl.set_fault_injector(&injector);
+  net.set_fault_injector(&injector);
   expect_intact(1'000, &targeted);
 
   // The storm really hit the targeted port: quarantined on stale readings.
@@ -240,7 +345,7 @@ TEST(FaultResilience, DeadSensorsTripThePlausibilityWatchdog) {
   plan.sensor_death_rate = 1.0;  // every site dies on its first epoch
   plan.dead_reading_v = 0.0;     // rails well below plausible_min_v
   sim::FaultInjector injector(plan, 3);
-  ctrl.set_fault_injector(&injector);
+  net.set_fault_injector(&injector);
 
   const noc::PortKey key{0, noc::Dir::East};
   ctrl.post_cycle(1);
@@ -258,7 +363,7 @@ TEST(FaultResilience, PortRecoversWhenReadingsReturn) {
   sim::FaultPlan starve;
   starve.down_up_drop_rate = 1.0;
   sim::FaultInjector blackout(starve, 3);
-  ctrl.set_fault_injector(&blackout);
+  net.set_fault_injector(&blackout);
   const noc::PortKey key{0, noc::Dir::East};
   for (sim::Cycle now = 1; now <= 6; ++now) ctrl.post_cycle(now);
   ASSERT_TRUE(ctrl.quarantined(key));
@@ -268,7 +373,7 @@ TEST(FaultResilience, PortRecoversWhenReadingsReturn) {
   sim::FaultPlan healed;
   healed.wake_fail_rate = 0.5;
   sim::FaultInjector flaky_wake(healed, 3);
-  ctrl.set_fault_injector(&flaky_wake);
+  net.set_fault_injector(&flaky_wake);
   for (sim::Cycle now = 7; now <= 9; ++now) ctrl.post_cycle(now);
   EXPECT_TRUE(ctrl.quarantined(key));  // 3 clean epochs: one short
   ctrl.post_cycle(10);

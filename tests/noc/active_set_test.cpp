@@ -257,9 +257,7 @@ TEST(ActiveSetOracle, FaultStormMatchesStepped) {
   inj_s.bind_stats(&stepped.net.stats());
   inj_a.bind_stats(&active.net.stats());
   stepped.net.set_fault_injector(&inj_s);
-  stepped.ctrl.set_fault_injector(&inj_s);
   active.net.set_fault_injector(&inj_a);
-  active.ctrl.set_fault_injector(&inj_a);
   active.net.set_scheduler_mode(SchedulerMode::kActiveSet);
   run_lockstep(stepped, active, s.cycles, "fault-storm");
   // Degenerate schedule: every router stepped every cycle.
@@ -283,9 +281,7 @@ TEST(ActiveSetOracle, TargetedFaultPinsOnlyTheFaultyRouter) {
   inj_s.bind_stats(&stepped.net.stats());
   inj_a.bind_stats(&active.net.stats());
   stepped.net.set_fault_injector(&inj_s);
-  stepped.ctrl.set_fault_injector(&inj_s);
   active.net.set_fault_injector(&inj_a);
-  active.ctrl.set_fault_injector(&inj_a);
   active.net.set_scheduler_mode(SchedulerMode::kActiveSet);
   EXPECT_TRUE(active.net.router_active(4));
   run_lockstep(stepped, active, s.cycles, "targeted-fault");

@@ -104,58 +104,6 @@ TEST(Channel, ClearWithMultipleInFlightDropsEverything) {
   EXPECT_EQ(ch.pop_ready(14).value(), 4);
 }
 
-TEST(Channel, FaultHookCanDropPayloads) {
-  Channel<int> ch(1);
-  ch.set_fault_hook([](int& v, sim::Cycle) { return v != 2; });
-  ch.push(1, 0);
-  ch.push(2, 0);
-  ch.push(3, 0);
-  // The dropped payload is consumed silently: pop skips to the next one.
-  EXPECT_EQ(ch.pop_ready(1).value(), 1);
-  EXPECT_EQ(ch.pop_ready(1).value(), 3);
-  EXPECT_FALSE(ch.pop_ready(1).has_value());
-  EXPECT_EQ(ch.dropped(), 1u);
-}
-
-TEST(Channel, FaultHookCanMutateInFlight) {
-  Channel<int> ch(1);
-  ch.set_fault_hook([](int& v, sim::Cycle) {
-    v += 100;
-    return true;
-  });
-  ch.push(5, 0);
-  EXPECT_EQ(ch.pop_ready(1).value(), 105);
-  EXPECT_EQ(ch.dropped(), 0u);
-}
-
-TEST(Channel, FaultHookFiresExactlyOncePerPayload) {
-  Channel<int> ch(1);
-  int fires = 0;
-  ch.set_fault_hook([&fires](int&, sim::Cycle) {
-    ++fires;
-    return true;
-  });
-  ch.push(1, 0);
-  // Peeks must not fire the hook: fault decisions draw from an RNG stream
-  // and must happen exactly once, at consumption.
-  ch.peek_ready(1);
-  ch.peek_ready(1);
-  EXPECT_EQ(fires, 0);
-  ch.pop_ready(1);
-  EXPECT_EQ(fires, 1);
-}
-
-TEST(Channel, RemovingFaultHookRestoresExactDelivery) {
-  Channel<int> ch(1);
-  ch.set_fault_hook([](int&, sim::Cycle) { return false; });
-  ch.push(1, 0);
-  EXPECT_FALSE(ch.pop_ready(1).has_value());
-  ch.set_fault_hook(nullptr);
-  EXPECT_FALSE(ch.has_fault_hook());
-  ch.push(2, 1);
-  EXPECT_EQ(ch.pop_ready(2).value(), 2);
-}
-
 TEST(Channel, ForEachInFlightSeesQueueOrder) {
   Channel<int> ch(3);
   ch.push(7, 0);

@@ -217,7 +217,7 @@ TEST(HotPathAllocation, FaultyRunSteadyStateIsAllocationFree) {
   ctrl.attach();
   sim::FaultInjector injector(sim::FaultPlan::uniform(0.02), /*seed=*/3);
   injector.bind_stats(&net.stats());
-  ctrl.set_fault_injector(&injector);
+  net.set_fault_injector(&injector);
   traffic::install_uniform_traffic(net, 0.3, 42);
   net.run(6'000);
   EXPECT_EQ(allocations_during_steps(net, 2'500), 0u);

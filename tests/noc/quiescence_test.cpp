@@ -103,7 +103,7 @@ TEST(Quiescence, TraceReplayHorizonIsExact) {
   traffic::Trace trace;
   trace.add({/*cycle=*/100, /*src=*/0, /*dst=*/1, /*length=*/4});
   trace.add({/*cycle=*/900, /*src=*/0, /*dst=*/2, /*length=*/4});
-  traffic::TraceReplaySource replay(trace, 0);
+  traffic::TraceReplaySource replay(traffic::TraceFile::from_trace(trace, 4, "horizon"), 0);
   EXPECT_EQ(replay.next_event_cycle(0), 100u);
   EXPECT_EQ(replay.next_event_cycle(150), 150u);  // slipped record: due now
   ASSERT_TRUE(replay.maybe_generate(100).has_value());

@@ -47,7 +47,7 @@ TEST(TraceReplay, ReplaysOwnSliceInOrder) {
   t.add({5, 0, 1, 4});
   t.add({6, 1, 2, 4});  // other node's packet
   t.add({9, 0, 3, 2});
-  TraceReplaySource replay(t, 0);
+  TraceReplaySource replay(TraceFile::from_trace(t, 4, "replay-slice"), 0);
   EXPECT_FALSE(replay.maybe_generate(4).has_value());
   const auto first = replay.maybe_generate(5);
   ASSERT_TRUE(first.has_value());
@@ -64,7 +64,7 @@ TEST(TraceReplay, SameCycleRecordsSlipForward) {
   Trace t;
   t.add({5, 0, 1, 4});
   t.add({5, 0, 2, 4});
-  TraceReplaySource replay(t, 0);
+  TraceReplaySource replay(TraceFile::from_trace(t, 4, "same-cycle"), 0);
   EXPECT_EQ(replay.maybe_generate(5)->dst, 1);
   EXPECT_EQ(replay.maybe_generate(6)->dst, 2);  // deferred one cycle
 }
@@ -79,7 +79,8 @@ TEST(TraceReplay, CapturedTrafficReplaysIdentically) {
   cfg.width = 2;
   cfg.height = 2;
   noc::Network net(cfg);
-  net.set_traffic_source(0, std::make_unique<TraceReplaySource>(trace, 0));
+  net.set_traffic_source(
+      0, std::make_unique<TraceReplaySource>(TraceFile::from_trace(trace, 4, "captured"), 0));
   net.run(6000);
   EXPECT_EQ(net.stats().counter("noc.packets_offered"), trace.size());
 }
