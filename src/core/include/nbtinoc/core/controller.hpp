@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "nbtinoc/core/policy.hpp"
@@ -83,7 +84,9 @@ class PolicyGateController final : public noc::IGateController {
 
   /// Builds the controller on explicitly provided per-port Vth vectors
   /// (e.g. partially aged silicon in a lifetime study) instead of sampling
-  /// fresh process variation. The map must cover every existing input port.
+  /// fresh process variation. The map must cover exactly the existing input
+  /// ports: a missing port, or a key naming a port or router the network
+  /// lacks, throws std::invalid_argument.
   PolicyGateController(noc::Network& network, PolicyConfig config, const nbti::NbtiModel& model,
                        nbti::OperatingPoint op,
                        std::map<noc::PortKey, std::vector<double>> initial_vths,
@@ -114,7 +117,7 @@ class PolicyGateController final : public noc::IGateController {
   void attach() { network_->set_gate_controller(this); }
 
   /// True while the port's sensors are distrusted and the rr fallback runs.
-  bool quarantined(const noc::PortKey& key) const { return ports_.at(key).quarantined; }
+  bool quarantined(const noc::PortKey& key) const { return context(key).quarantined; }
   std::size_t quarantined_ports() const;
   /// The reading every sensor policy acts on: the last delivered Down_Up
   /// report. Equals sensors(key).measured_vth(vc) after every epoch unless
@@ -138,6 +141,7 @@ class PolicyGateController final : public noc::IGateController {
 
  private:
   struct PortContext {
+    noc::PortKey key;
     std::vector<double> initial_vths;
     nbti::NbtiSensorBank sensors;
     /// What the upstream router believes the readings are: the last
@@ -154,6 +158,19 @@ class PolicyGateController final : public noc::IGateController {
     void deliver_intact();
   };
 
+  /// Dense index of a port: router × ports per router + port.
+  std::size_t slot_of(const noc::PortKey& key) const {
+    return static_cast<std::size_t>(key.router) * static_cast<std::size_t>(ports_per_router_) +
+           static_cast<std::size_t>(key.port);
+  }
+  /// The context of an existing port; std::out_of_range for any other key.
+  const PortContext& context(const noc::PortKey& key) const;
+  /// Index into held_ of the decision for the view starting at `first_vc`.
+  std::size_t held_index(const noc::PortKey& key, int first_vc) const {
+    return slot_of(key) * static_cast<std::size_t>(network_->config().total_vcs()) +
+           static_cast<std::size_t>(first_vc);
+  }
+
   noc::GateCommand compute(const noc::PortKey& key, const noc::OutVcStateView& view,
                            bool new_traffic, sim::Cycle now);
   /// True when an enabled injector's plan covers this port.
@@ -169,7 +186,12 @@ class PolicyGateController final : public noc::IGateController {
   /// VC bank entries, slot policies dispatch, and the VC-indexed hysteresis
   /// cache is bypassed.
   bool shared_ = false;
-  std::map<noc::PortKey, PortContext> ports_;
+  int ports_per_router_;
+  /// Per-port contexts indexed by slot_of(key), empty where the network has
+  /// no input port; ascending slots are ascending (router, port) keys, the
+  /// order every walk (and the snapshot) uses.
+  std::vector<std::optional<PortContext>> ports_;
+  std::size_t num_ports_ = 0;  ///< existing input ports (engaged slots)
 
   /// Earliest sensor-refresh epoch across ports: fault-free post_cycle
   /// calls before this cycle are provable no-ops and return in O(1) — the
@@ -186,13 +208,16 @@ class PolicyGateController final : public noc::IGateController {
   /// per-decision fill must not allocate).
   std::vector<double> degradation_scratch_;
 
-  /// Hysteresis cache, keyed by (port, vnet subrange start).
+  /// Hysteresis cache, indexed by slot_of(key) × total VCs + the view's
+  /// first VC (its vnet/class subrange start). Sized only when decisions
+  /// are held (decision_period > 1, partitioned buffers); a decision
+  /// counts as cached, and is snapshotted, once valid.
   struct HeldDecision {
     noc::GateCommand command;
     sim::Cycle held_until = 0;
     bool valid = false;
   };
-  std::map<std::pair<noc::PortKey, int>, HeldDecision> held_;
+  std::vector<HeldDecision> held_;
 };
 
 }  // namespace nbtinoc::core

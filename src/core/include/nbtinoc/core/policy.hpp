@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "nbtinoc/noc/gate.hpp"
+#include "nbtinoc/noc/input_unit.hpp"
 #include "nbtinoc/noc/shared_pool.hpp"
 #include "nbtinoc/sim/clock.hpp"
 

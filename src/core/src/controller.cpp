@@ -62,31 +62,41 @@ PolicyGateController::PolicyGateController(noc::Network& network, PolicyConfig c
                                            std::uint64_t noise_seed)
     : network_(&network), config_(config), name_(to_string(config.kind)),
       shared_(network.config().shared_buffers()),
+      ports_per_router_(network.config().ports_per_router()),
+      ports_(static_cast<std::size_t>(network.num_routers() * ports_per_router_)),
       h_quarantined_cycles_(network.stats().intern("fault.quarantined_port_cycles")),
       h_quarantines_(network.stats().intern("fault.quarantines")),
       h_recoveries_(network.stats().intern("fault.recoveries")),
       degradation_scratch_(static_cast<std::size_t>(network.config().buffers_per_port())) {
-  // Sanity: every existing input port must be covered with one Vth per
-  // gateable buffer (VC bank entry or pool slot).
+  // Sanity: the keys must be exactly the existing input ports, each with one
+  // Vth per gateable buffer (VC bank entry or pool slot).
   const auto& cfg = network.config();
-  for (noc::NodeId id = 0; id < network.num_routers(); ++id) {
-    for (int p = 0; p < cfg.ports_per_router(); ++p) {
-      const noc::Dir port = static_cast<noc::Dir>(p);
-      if (!network.router(id).has_input(port)) continue;
-      const auto it = initial_vths.find(noc::PortKey{id, port});
-      if (it == initial_vths.end() ||
-          it->second.size() != static_cast<std::size_t>(cfg.buffers_per_port()))
-        throw std::invalid_argument("PolicyGateController: initial_vths must cover every port");
-    }
+  for (const auto& [key, bank_vths] : initial_vths) {
+    const int port = static_cast<int>(key.port);
+    if (key.router < 0 || key.router >= network.num_routers() || port < 0 ||
+        port >= ports_per_router_ || !network.router(key.router).has_input(key.port))
+      throw std::invalid_argument("PolicyGateController: initial_vths names router " +
+                                  std::to_string(key.router) + " port " + std::to_string(port) +
+                                  ", which the network lacks");
+    if (bank_vths.size() != static_cast<std::size_t>(cfg.buffers_per_port()))
+      throw std::invalid_argument("PolicyGateController: initial_vths must cover every port");
   }
+  for (noc::NodeId id = 0; id < network.num_routers(); ++id)
+    for (int p = 0; p < ports_per_router_; ++p)
+      if (network.router(id).has_input(static_cast<noc::Dir>(p))) ++num_ports_;
+  if (initial_vths.size() != num_ports_)
+    throw std::invalid_argument("PolicyGateController: initial_vths must cover every port");
+
   util::SplitMix64 noise_seeder(noise_seed);
   for (auto& [key, bank_vths] : initial_vths) {
-    PortContext ctx{bank_vths,
+    PortContext ctx{key, bank_vths,
                     nbti::NbtiSensorBank(bank_vths, model, op, config_.sensor, noise_seeder.next()),
                     std::vector<double>(bank_vths.size())};
     ctx.deliver_intact();
-    ports_.emplace(key, std::move(ctx));
+    ports_[slot_of(key)].emplace(std::move(ctx));
   }
+  if (config_.decision_period > 1 && !shared_)
+    held_.resize(ports_.size() * static_cast<std::size_t>(cfg.total_vcs()));
 }
 
 void PolicyGateController::PortContext::deliver_intact() {
@@ -95,16 +105,27 @@ void PolicyGateController::PortContext::deliver_intact() {
 
 const char* PolicyGateController::name() const { return name_.c_str(); }
 
+const PolicyGateController::PortContext& PolicyGateController::context(
+    const noc::PortKey& key) const {
+  const int port = static_cast<int>(key.port);
+  if (key.router >= 0 && port >= 0 && port < ports_per_router_) {
+    const std::size_t slot = slot_of(key);
+    if (slot < ports_.size() && ports_[slot]) return *ports_[slot];
+  }
+  throw std::out_of_range("PolicyGateController: no input port at router " +
+                          std::to_string(key.router) + " port " + std::to_string(port));
+}
+
 const nbti::NbtiSensorBank& PolicyGateController::sensors(const noc::PortKey& key) const {
-  return ports_.at(key).sensors;
+  return context(key).sensors;
 }
 
 const std::vector<double>& PolicyGateController::initial_vths(const noc::PortKey& key) const {
-  return ports_.at(key).initial_vths;
+  return context(key).initial_vths;
 }
 
 int PolicyGateController::most_degraded(const noc::PortKey& key) const {
-  return static_cast<int>(ports_.at(key).sensors.most_degraded());
+  return static_cast<int>(context(key).sensors.most_degraded());
 }
 
 noc::GateCommand PolicyGateController::decide(const noc::PortKey& key,
@@ -119,7 +140,7 @@ noc::GateCommand PolicyGateController::decide(const noc::PortKey& key,
   // upstream router already has): new traffic while the held command keeps
   // nothing awake, or while the kept VC has meanwhile been allocated —
   // either would stall VA for up to a full period.
-  HeldDecision& held = held_[{key, view.first_vc()}];
+  HeldDecision& held = held_.at(held_index(key, view.first_vc()));
   const bool kept_unusable =
       held.valid && held.command.enable &&
       (held.command.keep_vc < 0 || view.is_active(held.command.keep_vc));
@@ -150,7 +171,7 @@ noc::GateCommand PolicyGateController::compute(const noc::PortKey& key,
   PolicyKind kind = config_.kind;
   const PortContext* ctx = nullptr;
   if (reads_sensors(kind)) {
-    ctx = &ports_.at(key);
+    ctx = &context(key);
     if (ctx->quarantined && fault_targets(key))
       kind = kind == PolicyKind::kSensorWiseSlotMd ? PolicyKind::kRrSlot : PolicyKind::kRrNoSensor;
   }
@@ -204,7 +225,10 @@ void PolicyGateController::post_cycle(sim::Cycle now) {
   // stress trackers; this is the Down_Up link update point.
   const double elapsed = network_->clock().seconds_now();
   sim::Cycle fence = sim::kCycleNever;
-  for (auto& [key, ctx] : ports_) {
+  for (auto& slot : ports_) {
+    if (!slot) continue;
+    PortContext& ctx = *slot;
+    const noc::PortKey& key = ctx.key;
     const bool epoch = ctx.sensors.refresh_due(now);
     noc::InputUnit& iu = network_->router(key.router).input(key.port);
     // Stress accounting is event-driven: flush this port's lazy intervals
@@ -237,8 +261,8 @@ sim::Cycle PolicyGateController::next_event_cycle(sim::Cycle now) {
   // exactly its due cycle), so report the earliest due cycle across ports
   // and let the engine land on it.
   sim::Cycle horizon = sim::kCycleNever;
-  for (const auto& [key, ctx] : ports_)
-    horizon = std::min(horizon, ctx.sensors.next_refresh_cycle());
+  for (const auto& ctx : ports_)
+    if (ctx) horizon = std::min(horizon, ctx->sensors.next_refresh_cycle());
   return std::max(horizon, now);
 }
 
@@ -293,17 +317,19 @@ void PolicyGateController::faulted_epoch(const noc::PortKey& key, PortContext& c
 
 std::size_t PolicyGateController::quarantined_ports() const {
   std::size_t n = 0;
-  for (const auto& [key, ctx] : ports_) n += ctx.quarantined ? 1u : 0u;
+  for (const auto& ctx : ports_) n += ctx && ctx->quarantined ? 1u : 0u;
   return n;
 }
 
 double PolicyGateController::effective_vth(const noc::PortKey& key, int vc) const {
-  return ports_.at(key).effective_vths.at(static_cast<std::size_t>(vc));
+  return context(key).effective_vths.at(static_cast<std::size_t>(vc));
 }
 
 void PolicyGateController::save(sim::SnapshotWriter& w) const {
-  w.u64(ports_.size());
-  for (const auto& [key, ctx] : ports_) {
+  w.u64(num_ports_);
+  for (const auto& slot : ports_) {
+    if (!slot) continue;
+    const PortContext& ctx = *slot;
     ctx.sensors.save(w);
     w.f64_vec(ctx.effective_vths);
     w.b(ctx.quarantined);
@@ -311,11 +337,18 @@ void PolicyGateController::save(sim::SnapshotWriter& w) const {
     w.i64(ctx.implausible_streak);
     w.i64(ctx.healthy_streak);
   }
-  w.u64(held_.size());
-  for (const auto& [key, held] : held_) {
-    w.i64(key.first.router);
-    w.u8(static_cast<std::uint8_t>(key.first.port));
-    w.i64(key.second);
+  // Held decisions in (router, port, first VC) order, the index order.
+  const auto held_count = std::count_if(held_.begin(), held_.end(),
+                                        [](const HeldDecision& h) { return h.valid; });
+  w.u64(static_cast<std::uint64_t>(held_count));
+  const auto total_vcs = static_cast<std::size_t>(network_->config().total_vcs());
+  for (std::size_t i = 0; i < held_.size(); ++i) {
+    const HeldDecision& held = held_[i];
+    if (!held.valid) continue;
+    const std::size_t slot = i / total_vcs;
+    w.i64(static_cast<std::int64_t>(slot / static_cast<std::size_t>(ports_per_router_)));
+    w.u8(static_cast<std::uint8_t>(slot % static_cast<std::size_t>(ports_per_router_)));
+    w.i64(static_cast<std::int64_t>(i % total_vcs));
     noc::snapshot_save(w, held.command);
     w.u64(static_cast<std::uint64_t>(held.held_until));
     w.b(held.valid);
@@ -324,8 +357,10 @@ void PolicyGateController::save(sim::SnapshotWriter& w) const {
 }
 
 void PolicyGateController::load(sim::SnapshotReader& r) {
-  r.expect_u64(ports_.size(), "controller port count");
-  for (auto& [key, ctx] : ports_) {
+  r.expect_u64(num_ports_, "controller port count");
+  for (auto& slot : ports_) {
+    if (!slot) continue;
+    PortContext& ctx = *slot;
     ctx.sensors.load(r);
     ctx.effective_vths = r.f64_vec();
     if (ctx.effective_vths.size() != ctx.initial_vths.size())
@@ -336,18 +371,23 @@ void PolicyGateController::load(sim::SnapshotReader& r) {
     ctx.implausible_streak = static_cast<int>(r.i64());
     ctx.healthy_streak = static_cast<int>(r.i64());
   }
-  held_.clear();
+  std::fill(held_.begin(), held_.end(), HeldDecision{});
   const std::uint64_t held_count = r.u64();
   for (std::uint64_t i = 0; i < held_count; ++i) {
-    noc::PortKey key;
-    key.router = static_cast<noc::NodeId>(r.i64());
-    key.port = static_cast<noc::Dir>(r.u8());
-    const int first_vc = static_cast<int>(r.i64());
+    const std::int64_t router = r.i64();
+    const int port = r.u8();
+    const std::int64_t first_vc = r.i64();
     HeldDecision held;
     held.command = noc::snapshot_load_gate_command(r);
     held.held_until = static_cast<sim::Cycle>(r.u64());
     held.valid = r.b();
-    held_.emplace(std::make_pair(key, first_vc), held);
+    if (held_.empty() || router < 0 || router >= network_->num_routers() ||
+        port >= ports_per_router_ || first_vc < 0 || first_vc >= network_->config().total_vcs())
+      throw sim::SnapshotError("controller: held decision for router " + std::to_string(router) +
+                               " port " + std::to_string(port) + " VC " +
+                               std::to_string(first_vc) + " does not fit this scenario");
+    held_[held_index({static_cast<noc::NodeId>(router), static_cast<noc::Dir>(port)},
+                     static_cast<int>(first_vc))] = held;
   }
   post_cycle_fence_ = static_cast<sim::Cycle>(r.u64());
 }

@@ -1,6 +1,7 @@
 #pragma once
 // Round-robin arbitration primitive used by the VA and SA stages.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -36,6 +37,13 @@ class RequestSet {
     for (const auto w : words_)
       if (w != 0) return true;
     return false;
+  }
+  /// Calls f(i) for every set index i, in ascending order.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (std::size_t w = 0; w < words_.size(); ++w)
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1)
+        f(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
   }
 
  private:

@@ -79,12 +79,14 @@ class OutVcStateView {
   OutVcStateView(const InputUnit* iu, int first_vc, int count)
       : iu_(iu), first_vc_(first_vc), count_(count) {}
 
-  int num_vcs() const;
+  // num_vcs() and state() are defined inline in input_unit.hpp, where
+  // InputUnit is complete; include it to call them.
+  inline int num_vcs() const;
   int first_vc() const { return first_vc_; }
   /// Maps a local index to the port-global VC id.
   int global_vc(int local) const { return first_vc_ + local; }
 
-  VcState state(int local) const;
+  inline VcState state(int local) const;
   bool is_idle(int local) const { return state(local) == VcState::Idle; }
   bool is_recovery(int local) const { return state(local) == VcState::Recovery; }
   bool is_active(int local) const { return state(local) == VcState::Active; }

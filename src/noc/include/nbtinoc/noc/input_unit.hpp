@@ -105,13 +105,10 @@ class InputUnit {
   }
 
   /// True if vc i holds a routed head flit still waiting for an output VC —
-  /// the "new packet" notion of is_new_traffic_outport_x().
+  /// the "new packet" notion of is_new_traffic_outport_x(). The owning
+  /// router files these heads by output port in its VA request matrix,
+  /// which both VA and the downstream gating decisions read.
   bool waiting_for_va(int i, sim::Cycle now) const;
-  /// Any VC waiting for VA toward output port `port`?
-  bool has_new_traffic_toward(Dir port, sim::Cycle now) const;
-  /// Same, restricted to packets of one virtual network needing downstream
-  /// dateline class `cls` — the per-class gating decision's traffic signal.
-  bool has_new_traffic_toward(Dir port, int vnet, int cls, sim::Cycle now) const;
 
   // --- datapath --------------------------------------------------------------
   /// Buffer write (+ RC on head flits). `route` / `next_class` are the
@@ -189,5 +186,13 @@ class InputUnit {
   int busy_vcs_ = 0;
   int gated_vcs_ = 0;
 };
+
+// OutVcStateView's accessors, inline here where InputUnit is complete: the
+// policies call them once per VC per decision.
+inline int OutVcStateView::num_vcs() const { return count_ >= 0 ? count_ : iu_->num_vcs(); }
+
+inline VcState OutVcStateView::state(int local) const {
+  return iu_->vc(first_vc_ + local).state();
+}
 
 }  // namespace nbtinoc::noc

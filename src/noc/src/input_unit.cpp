@@ -5,10 +5,6 @@
 
 namespace nbtinoc::noc {
 
-int OutVcStateView::num_vcs() const { return count_ >= 0 ? count_ : iu_->num_vcs(); }
-
-VcState OutVcStateView::state(int local) const { return iu_->vc(first_vc_ + local).state(); }
-
 InputUnit::InputUnit(Dir dir, const NocConfig& config)
     : dir_(dir),
       extra_stages_(config.extra_pipeline_stages),
@@ -56,24 +52,6 @@ bool InputUnit::waiting_for_va(int i, sim::Cycle now) const {
   // Head at the front, already buffer-written (BW stage completed strictly
   // before this cycle, plus any extra pipeline depth), RC result stored.
   return is_head(front.type) && flit_eligible(front, now);
-}
-
-bool InputUnit::has_new_traffic_toward(Dir port, sim::Cycle now) const {
-  if (busy_vcs_ == 0) return false;
-  for (int i = 0; i < num_vcs(); ++i) {
-    if (waiting_for_va(i, now) && vc(i).route() == port) return true;
-  }
-  return false;
-}
-
-bool InputUnit::has_new_traffic_toward(Dir port, int vnet, int cls, sim::Cycle now) const {
-  if (busy_vcs_ == 0) return false;
-  for (int i = 0; i < num_vcs(); ++i) {
-    if (waiting_for_va(i, now) && vc(i).route() == port && vc(i).next_class() == cls &&
-        vc(i).front().vnet == vnet)
-      return true;
-  }
-  return false;
 }
 
 void InputUnit::receive_flit(const Flit& flit, Dir route, int next_class, sim::Cycle now) {

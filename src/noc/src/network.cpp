@@ -761,6 +761,7 @@ void Network::purge_after_kill(sim::Cycle now) {
         if (iu.vc(v).is_active() && (port_dead || doomed.count(iu.vc(v).packet()) != 0))
           dropped += static_cast<std::uint64_t>(iu.purge_vc(v));
     }
+    r.invalidate_va_matrix();
   }
   for (auto& term : nis_) {
     if (!topo_->terminal_alive(term->node())) {

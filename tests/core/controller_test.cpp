@@ -211,6 +211,33 @@ TEST(PolicyGateController, SensorRankKeepsHealthiest) {
   for (double v : vths) EXPECT_GE(v, vths[static_cast<std::size_t>(cmd.keep_vc)]);
 }
 
+TEST(PolicyGateController, ExplicitVthsMustNameExactlyTheExistingPorts) {
+  noc::Network net(config(2, 2));
+  const nbti::NbtiModel m = model();
+  const auto exact = sample_network_vths(net.config(), pv(), 3);
+  EXPECT_NO_THROW(PolicyGateController(net, PolicyConfig{}, m, {}, exact));
+
+  // Router 0 sits in the mesh corner, so it has no West input port; the
+  // 2x2 mesh has routers 0-3. Each bad key is tried on top of the exact
+  // map, and in place of an existing port (so the key count still fits).
+  const noc::PortKey replaced{0, noc::Dir::East};
+  for (const noc::PortKey bad : {noc::PortKey{0, noc::Dir::West}, noc::PortKey{-1, noc::Dir::Local},
+                                 noc::PortKey{4, noc::Dir::Local}}) {
+    auto added = exact;
+    added.emplace(bad, exact.at(replaced));
+    EXPECT_THROW(PolicyGateController(net, PolicyConfig{}, m, {}, added), std::invalid_argument)
+        << "router " << bad.router << " port " << static_cast<int>(bad.port) << " added";
+    auto swapped = added;
+    swapped.erase(replaced);
+    EXPECT_THROW(PolicyGateController(net, PolicyConfig{}, m, {}, swapped), std::invalid_argument)
+        << "router " << bad.router << " port " << static_cast<int>(bad.port) << " swapped in";
+  }
+
+  auto missing = exact;
+  missing.erase(replaced);
+  EXPECT_THROW(PolicyGateController(net, PolicyConfig{}, m, {}, missing), std::invalid_argument);
+}
+
 TEST(PolicyGateController, PostCycleRefreshesSensorsFromTrackers) {
   noc::Network net(config(2, 2));
   const nbti::NbtiModel m = model();

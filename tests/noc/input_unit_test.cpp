@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "nbtinoc/noc/router.hpp"
+
 namespace nbtinoc::noc {
 namespace {
 
@@ -69,13 +71,17 @@ TEST(InputUnit, WaitingForVaSemantics) {
 }
 
 TEST(InputUnit, NewTrafficTowardFiltersByRoute) {
-  InputUnit iu(Dir::East, config());
+  // The new-traffic probe is a read of the owning router's VA request
+  // matrix, which files each waiting head under its RC route.
+  sim::StatRegistry stats;
+  Router router(0, config(), stats);
+  InputUnit& iu = router.input(Dir::Local);
   iu.vc(0).allocate(3, 0);
   Flit f = head(3);
   f.vc = 0;
   iu.receive_flit(f, Dir::North, 5);
-  EXPECT_TRUE(iu.has_new_traffic_toward(Dir::North, 6));
-  EXPECT_FALSE(iu.has_new_traffic_toward(Dir::South, 6));
+  EXPECT_TRUE(router.has_new_traffic_toward(Dir::North, 6));
+  EXPECT_FALSE(router.has_new_traffic_toward(Dir::South, 6));
 }
 
 TEST(InputUnit, AssignAndClearOutput) {
