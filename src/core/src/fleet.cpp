@@ -65,10 +65,13 @@ void FleetSpec::validate() const {
   if (chips < 1) throw std::invalid_argument("FleetSpec: chips < 1");
   if (policies.empty()) throw std::invalid_argument("FleetSpec: no policies");
   if (workloads.empty()) throw std::invalid_argument("FleetSpec: no workloads");
-  if (dvth_budget_v <= 0.0) throw std::invalid_argument("FleetSpec: dvth_budget_v <= 0");
-  if (failure_fraction <= 0.0 || failure_fraction > 1.0)
+  // Written so that NaN fails every range check.
+  if (!std::isfinite(dvth_budget_v) || dvth_budget_v <= 0.0)
+    throw std::invalid_argument("FleetSpec: dvth_budget_v must be finite and > 0");
+  if (!(failure_fraction > 0.0 && failure_fraction <= 1.0))
     throw std::invalid_argument("FleetSpec: failure_fraction must be in (0, 1]");
-  if (max_years <= 0.0) throw std::invalid_argument("FleetSpec: max_years <= 0");
+  if (!std::isfinite(max_years) || max_years <= 0.0)
+    throw std::invalid_argument("FleetSpec: max_years must be finite and > 0");
   for (const auto& w : workloads)
     if (w.label.empty() || w.label.find(',') != std::string::npos)
       throw std::invalid_argument("FleetSpec: workload labels must be non-empty and comma-free");

@@ -8,12 +8,13 @@ namespace nbtinoc::core {
 
 void LifetimeEngineOptions::validate() const {
   if (epochs < 1) throw std::invalid_argument("LifetimeEngine: epochs < 1");
-  if (years_per_epoch <= 0.0) throw std::invalid_argument("LifetimeEngine: years_per_epoch <= 0");
+  if (!std::isfinite(years_per_epoch) || years_per_epoch <= 0.0)
+    throw std::invalid_argument("LifetimeEngine: years_per_epoch must be finite and > 0");
   if (measure_cycles_per_epoch == 0)
     throw std::invalid_argument("LifetimeEngine: measure_cycles_per_epoch must be >= 1");
-  if (remeasure_tolerance_v < 0.0)
+  if (!(remeasure_tolerance_v >= 0.0))
     throw std::invalid_argument(
-        "LifetimeEngine: remeasure_tolerance_v < 0 (use 0 to measure every epoch)");
+        "LifetimeEngine: remeasure_tolerance_v must be >= 0 (use 0 to measure every epoch)");
   if (max_extrapolated_epochs < 1)
     throw std::invalid_argument("LifetimeEngine: max_extrapolated_epochs < 1");
 }

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -47,6 +48,20 @@ TEST(Fleet, ValidatesSpec) {
   EXPECT_THROW(run_fleet(bad, 1), std::invalid_argument);
   bad = small_spec();
   bad.workloads[0].label = "has,comma";
+  EXPECT_THROW(run_fleet(bad, 1), std::invalid_argument);
+  // Non-finite settings (all reachable from fleet_runner flags).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double value : {nan, inf}) {
+    bad = small_spec();
+    bad.dvth_budget_v = value;
+    EXPECT_THROW(run_fleet(bad, 1), std::invalid_argument);
+    bad = small_spec();
+    bad.max_years = value;
+    EXPECT_THROW(run_fleet(bad, 1), std::invalid_argument);
+  }
+  bad = small_spec();
+  bad.failure_fraction = nan;
   EXPECT_THROW(run_fleet(bad, 1), std::invalid_argument);
   EXPECT_THROW(run_fleet_shard(small_spec(), 2, 2, 1), std::invalid_argument);
   EXPECT_THROW(run_fleet_shard(small_spec(), -1, 2, 1), std::invalid_argument);

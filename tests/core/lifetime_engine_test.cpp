@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace nbtinoc::core {
 namespace {
@@ -44,6 +45,16 @@ TEST(LifetimeEngine, RejectsBadOptions) {
   EXPECT_THROW(run_engine(PolicyKind::kSensorWise, bad), std::invalid_argument);
   bad = quick_options();
   bad.max_extrapolated_epochs = 0;
+  EXPECT_THROW(run_engine(PolicyKind::kSensorWise, bad), std::invalid_argument);
+  // Non-finite settings (reachable from bench_lifetime flags).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double years : {nan, std::numeric_limits<double>::infinity()}) {
+    bad = quick_options();
+    bad.years_per_epoch = years;
+    EXPECT_THROW(run_engine(PolicyKind::kSensorWise, bad), std::invalid_argument);
+  }
+  bad = quick_options();
+  bad.remeasure_tolerance_v = nan;
   EXPECT_THROW(run_engine(PolicyKind::kSensorWise, bad), std::invalid_argument);
 }
 
