@@ -75,6 +75,13 @@ class NbtiModel {
   /// `seconds` of operation. Returns 0 for alpha <= 0 or seconds <= 0.
   double delta_vth(double alpha, double seconds, const OperatingPoint& op) const;
 
+  /// Inverse of delta_vth in t: the first time at which duty `alpha` has
+  /// shifted Vth by `dvth_v`, in closed form on both branches (the
+  /// short-time ramp and Eq. 1). Returns 0 for dvth_v <= 0, and +infinity
+  /// for a shift never reached: alpha <= 0, or a shift at or beyond the
+  /// t -> infinity asymptote that beta_t's clamp sets.
+  double seconds_to_shift(double dvth_v, double alpha, const OperatingPoint& op) const;
+
   /// Arrhenius diffusivity C(T) in nm^2/s.
   double diffusivity(double temperature_k) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -9,7 +10,14 @@ namespace nbtinoc::nbti {
 
 namespace {
 constexpr double kBoltzmannEvPerK = 8.617333262e-5;
+/// beta_t stays this far below 1, so Eq. 1 levels off as t -> infinity.
+constexpr double kBetaCeilingGap = 1e-12;
+
+/// Numerator of beta_t: 2*xi1*te + sqrt(xi2*C*(1-alpha)*Tclk).
+double beta_numerator(const NbtiParams& p, double alpha, double c, const OperatingPoint& op) {
+  return 2.0 * p.xi1 * p.te_nm + std::sqrt(p.xi2 * c * (1.0 - alpha) * op.clock_period_s);
 }
+}  // namespace
 
 NbtiModel::NbtiModel(NbtiParams params) : params_(params) {
   if (params_.n <= 0.0 || params_.n >= 0.5)
@@ -36,11 +44,9 @@ double NbtiModel::kv(const OperatingPoint& op) const {
 double NbtiModel::beta_t(double alpha, double seconds, const OperatingPoint& op) const {
   alpha = std::clamp(alpha, 0.0, 1.0);
   const double c = diffusivity(op.temperature_k);
-  const double numerator = 2.0 * params_.xi1 * params_.te_nm +
-                           std::sqrt(params_.xi2 * c * (1.0 - alpha) * op.clock_period_s);
   const double denominator = 2.0 * params_.tox_nm + std::sqrt(c * std::max(seconds, 0.0));
-  const double beta = 1.0 - numerator / denominator;
-  return std::clamp(beta, 0.0, 1.0 - 1e-12);
+  const double beta = 1.0 - beta_numerator(params_, alpha, c, op) / denominator;
+  return std::clamp(beta, 0.0, 1.0 - kBetaCeilingGap);
 }
 
 double NbtiModel::delta_vth(double alpha, double seconds, const OperatingPoint& op) const {
@@ -57,6 +63,29 @@ double NbtiModel::delta_vth(double alpha, double seconds, const OperatingPoint& 
   const double k = kv(op);
   const double base = std::sqrt(k * k * op.clock_period_s * alpha) / denom;
   return std::pow(base, 2.0 * params_.n);
+}
+
+double NbtiModel::seconds_to_shift(double dvth_v, double alpha, const OperatingPoint& op) const {
+  alpha = std::clamp(alpha, 0.0, 1.0);
+  if (dvth_v <= 0.0) return 0.0;
+  if (alpha <= 0.0) return std::numeric_limits<double>::infinity();
+  const double ramp = params_.short_time_ramp_s;
+  const double at_ramp = delta_vth(alpha, ramp, op);
+  if (dvth_v < at_ramp) return ramp * std::pow(dvth_v / at_ramp, 1.0 / params_.n);
+  // Eq. 1 read backwards: base = dVth^(1/2n) fixes beta_t^(1/2n) = 1 - gap,
+  // then beta_t = 1 - numerator / (2*tox + sqrt(C*t)) fixes sqrt(C*t).
+  const double k = kv(op);
+  const double gap = std::sqrt(k * k * op.clock_period_s * alpha) /
+                     std::pow(dvth_v, 1.0 / (2.0 * params_.n));
+  // At or below the beta_t = 0 floor: reached once the long-term form holds.
+  if (gap >= 1.0) return ramp;
+  // 1 - beta_t = 1 - (1 - gap)^(2n), without cancellation at small gaps.
+  const double one_minus_beta = -std::expm1(2.0 * params_.n * std::log1p(-gap));
+  if (one_minus_beta <= kBetaCeilingGap) return std::numeric_limits<double>::infinity();
+  const double c = diffusivity(op.temperature_k);
+  const double root =
+      std::max(beta_numerator(params_, alpha, c, op) / one_minus_beta - 2.0 * params_.tox_nm, 0.0);
+  return std::max(root * root / c, ramp);
 }
 
 double NbtiModel::vth_saving(double alpha, double alpha_ref, double seconds,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace nbtinoc::nbti {
 namespace {
@@ -150,6 +151,48 @@ TEST(NbtiModel, ShortTimeRampIsContinuousAtBoundary) {
   const double below = m.delta_vth(1.0, boundary * (1 - 1e-9), op45());
   const double above = m.delta_vth(1.0, boundary * (1 + 1e-9), op45());
   EXPECT_NEAR(below, above, above * 1e-6);
+}
+
+TEST(NbtiModel, SecondsToShiftEdgeCases) {
+  const NbtiModel m = calibrated();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(m.seconds_to_shift(0.0, 0.5, op45()), 0.0);
+  EXPECT_EQ(m.seconds_to_shift(-0.01, 0.5, op45()), 0.0);
+  // A positive shift is never reached without stress.
+  EXPECT_EQ(m.seconds_to_shift(0.01, 0.0, op45()), inf);
+  EXPECT_EQ(m.seconds_to_shift(0.01, -0.3, op45()), inf);
+  // The calibration anchor reads back, and alpha > 1 clamps to 1.
+  EXPECT_NEAR(m.seconds_to_shift(0.050, 1.0, op45()), kTenYears, kTenYears * 1e-10);
+  EXPECT_EQ(m.seconds_to_shift(0.050, 1.5, op45()), m.seconds_to_shift(0.050, 1.0, op45()));
+  // The ramp boundary reads back from the long-term branch, and a shift just
+  // under it from the power-law ramp.
+  const double ramp = m.params().short_time_ramp_s;
+  const double at_ramp = m.delta_vth(0.4, ramp, op45());
+  EXPECT_NEAR(m.seconds_to_shift(at_ramp, 0.4, op45()), ramp, ramp * 1e-12);
+  EXPECT_NEAR(m.seconds_to_shift(at_ramp * 0.5, 0.4, op45()), ramp * std::pow(0.5, 6.0),
+              ramp * 1e-12);
+  // beta_t's clamp levels Eq. 1 off as t -> infinity; past that level the
+  // shift is never reached.
+  const double asymptote = m.delta_vth(0.4, 1e40, op45());
+  EXPECT_EQ(m.beta_t(0.4, 1e40, op45()), 1.0 - 1e-12);
+  EXPECT_EQ(m.seconds_to_shift(asymptote * 1.001, 0.4, op45()), inf);
+  EXPECT_LT(m.seconds_to_shift(asymptote * 0.999, 0.4, op45()), inf);
+}
+
+TEST(NbtiModel, SecondsToShiftWithoutTheRamp) {
+  // Without the ramp, Eq. 1 holds from t = 0+ and starts at its spurious
+  // floor (beta_t(0+) = 0.1 here): every shift up to it is reached at once.
+  NbtiParams p;
+  p.short_time_ramp_s = 0.0;
+  const NbtiModel m = NbtiModel::calibrated(p, op45());
+  const double at_start = m.delta_vth(0.5, 1e-30, op45());
+  EXPECT_GT(at_start, 0.002);
+  EXPECT_EQ(m.seconds_to_shift(at_start * 0.9999, 0.5, op45()), 0.0);  // beta_t in (0, 0.1)
+  EXPECT_EQ(m.seconds_to_shift(at_start * 0.5, 0.5, op45()), 0.0);     // below beta_t = 0
+  for (const double seconds : {1.0, 3600.0, kTenYears}) {
+    const double dvth = m.delta_vth(0.5, seconds, op45());
+    EXPECT_NEAR(m.seconds_to_shift(dvth, 0.5, op45()), seconds, seconds * 1e-9);
+  }
 }
 
 TEST(NbtiModel, DiffusivityArrhenius) {
