@@ -36,17 +36,19 @@ class AgingForecaster {
   std::vector<BufferForecast> forecast_bank(const std::vector<BufferAgingInput>& inputs,
                                             double years) const;
 
-  /// Years until the buffer's dVth crosses `dvth_budget_v` (bisection on the
-  /// monotone-in-t closed form). Returns `max_years` if never crossed.
+  /// Years until the buffer's dVth crosses `dvth_budget_v`
+  /// (NbtiModel::seconds_to_shift). Returns `max_years` if not crossed
+  /// before then.
   double lifetime_years(const BufferAgingInput& input, double dvth_budget_v,
                         double max_years = 30.0) const;
 
   /// Equivalent age: the stress time t_eq at duty `alpha` that produces the
-  /// given accumulated shift (inverse of the closed form in t, by bisection).
-  /// Enables epoch-wise aging under a *changing* duty cycle: each epoch maps
-  /// the accumulated shift back to an equivalent age at the epoch's duty,
-  /// then advances by the epoch length. Returns 0 for dvth <= 0 and
-  /// `max_seconds` if the shift is unreachable at this alpha.
+  /// given accumulated shift (NbtiModel::seconds_to_shift, the closed form
+  /// read backwards in t). Enables epoch-wise aging under a *changing* duty
+  /// cycle: each epoch maps the accumulated shift back to an equivalent age
+  /// at the epoch's duty, then advances by the epoch length. Returns 0 for
+  /// dvth <= 0 or alpha <= 0, and `max_seconds` if the shift is not reached
+  /// before then at this alpha.
   double equivalent_age_seconds(double dvth_v, double alpha, double initial_vth_v,
                                 double max_seconds = 40.0 * 365.25 * 24 * 3600) const;
 

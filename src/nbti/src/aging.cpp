@@ -29,18 +29,8 @@ double AgingForecaster::lifetime_years(const BufferAgingInput& input, double dvt
                                        double max_years) const {
   OperatingPoint op = op_;
   op.vth_v = input.initial_vth_v;
-  const auto dvth_at = [&](double years) {
-    return model_->delta_vth(input.alpha, years_to_seconds(years), op);
-  };
-  if (dvth_at(max_years) < dvth_budget_v) return max_years;
-  double lo = 0.0;
-  double hi = max_years;
-  for (int iter = 0; iter < 80; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (dvth_at(mid) < dvth_budget_v) lo = mid;
-    else hi = mid;
-  }
-  return 0.5 * (lo + hi);
+  const double seconds = model_->seconds_to_shift(dvth_budget_v, input.alpha, op);
+  return std::min(seconds / years_to_seconds(1.0), max_years);
 }
 
 double AgingForecaster::equivalent_age_seconds(double dvth_v, double alpha,
@@ -48,15 +38,7 @@ double AgingForecaster::equivalent_age_seconds(double dvth_v, double alpha,
   if (dvth_v <= 0.0 || alpha <= 0.0) return 0.0;
   OperatingPoint op = op_;
   op.vth_v = initial_vth_v;
-  if (model_->delta_vth(alpha, max_seconds, op) <= dvth_v) return max_seconds;
-  double lo = 0.0;
-  double hi = max_seconds;
-  for (int iter = 0; iter < 80; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (model_->delta_vth(alpha, mid, op) < dvth_v) lo = mid;
-    else hi = mid;
-  }
-  return 0.5 * (lo + hi);
+  return std::min(model_->seconds_to_shift(dvth_v, alpha, op), max_seconds);
 }
 
 double AgingForecaster::advance_dvth(double dvth_v, double alpha, double epoch_seconds,
