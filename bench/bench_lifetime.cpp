@@ -7,7 +7,7 @@
 // statistics.
 
 // The four policy trajectories are independent multi-epoch studies, so they
-// fan out on the sweep pool (SweepRunner::for_each, --workers N): each policy
+// fan out on the sweep pool (core::parallel_for, --workers N): each policy
 // writes its own results slot and the printed tables are byte-identical at
 // any worker count.
 
@@ -47,10 +47,7 @@ int main(int argc, char** argv) {
                                             core::PolicyKind::kSensorWise,
                                             core::PolicyKind::kSensorRank};
   std::vector<core::LifetimeResult> results(policies.size());
-  core::SweepOptions sweep_options;
-  sweep_options.workers = options.workers;
-  const core::SweepRunner pool(sweep_options);
-  pool.for_each(policies.size(), [&](std::size_t i) {
+  core::parallel_for(policies.size(), options.workers, [&](std::size_t i) {
     core::LifetimeEngine engine(s, policies[i], core::Workload::synthetic(), sampled, lopt);
     results[i] = engine.run().study;
   });

@@ -141,14 +141,6 @@ class SweepRunner {
   /// Number of worker threads run() will actually use.
   unsigned effective_workers() const;
 
-  /// Runs fn(0), ..., fn(count-1) on this runner's pool configuration —
-  /// same worker count, same inline-when-serial reference path as run().
-  /// For point-shaped work that is not one run_experiment per cell (e.g.
-  /// a multi-epoch lifetime study per policy): callers get the sweep
-  /// pool's determinism idiom (write into per-index slots) without
-  /// hand-wiring parallel_for and a worker count.
-  void for_each(std::size_t count, const std::function<void(std::size_t)>& fn) const;
-
   /// Executes every added point and returns the grid-ordered results.
   /// May be called repeatedly (e.g. to re-run the same grid).
   SweepResult run() const;

@@ -157,11 +157,6 @@ unsigned SweepRunner::effective_workers() const {
   return clamp_workers(options_.workers, points_.size());
 }
 
-void SweepRunner::for_each(std::size_t count,
-                           const std::function<void(std::size_t)>& fn) const {
-  parallel_for(count, options_.workers, fn);
-}
-
 SweepResult SweepRunner::run() const {
   const auto start = std::chrono::steady_clock::now();
   std::vector<SweepPointResult> results(points_.size());
