@@ -6,8 +6,10 @@
 // Each fleet point is one chip (an independent PV silicon sample) running
 // one policy under one workload: a cycle-accurate run_experiment measures
 // every buffer's duty cycle, then the closed-form reaction–diffusion model
-// (AgingForecaster::lifetime_years) converts {the chip's initial Vth, duty}
-// into the years until that buffer's ΔVth crosses the budget. The chip's
+// read backwards in t (AgingForecaster::lifetime_years, one
+// NbtiModel::seconds_to_shift call per VC) converts {the chip's initial
+// Vth, duty} into the years until that buffer's ΔVth crosses the budget,
+// capped at max_years. The chip's
 // failure time is the order statistic at `failure_fraction` of its VC
 // population — the paper-level question "when has 1% of this chip's VC
 // buffers drifted out of spec?".

@@ -12,7 +12,8 @@
 // epoch after epoch of virtual time *without touching the network*,
 // re-measuring only when the predicted Vth drift since the last
 // measurement crosses a configurable tolerance. Weeks-to-months of virtual
-// time then cost one closed-form evaluation per buffer per epoch instead
+// time then cost, per buffer per epoch, one closed-form inverse of Eq. 1
+// (the equivalent age, capped at 40 years) and one Eq. 1 evaluation instead
 // of measure_cycles_per_epoch simulated cycles — the ≥50x wall-clock lever
 // gated by BENCH_lifetime.json.
 //
