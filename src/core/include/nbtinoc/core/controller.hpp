@@ -99,6 +99,10 @@ class PolicyGateController final : public noc::IGateController {
   // IGateController
   noc::GateCommand decide(const noc::PortKey& key, const noc::OutVcStateView& view,
                           bool new_traffic, sim::Cycle now) override;
+  /// True while the hysteresis cache is in use (decision_period > 1 on
+  /// partitioned buffers): a skipped decide would leave a held command's
+  /// refresh cycle stale, so the network decides every port every cycle.
+  bool holds_decisions() const override { return !held_.empty(); }
   void post_cycle(sim::Cycle now) override;
   /// Full-park horizon: with a fault injector installed the fault
   /// processes draw RNG every cycle, so the horizon is pinned to `now`
@@ -173,6 +177,9 @@ class PolicyGateController final : public noc::IGateController {
 
   noc::GateCommand compute(const noc::PortKey& key, const noc::OutVcStateView& view,
                            bool new_traffic, sim::Cycle now);
+  /// The policy deciding `ctx`'s port: the configured one, or for a sensor
+  /// policy on a quarantined port the sensor-less one of its granularity.
+  PolicyKind acting_kind(const PortContext& ctx) const;
   /// True when an enabled injector's plan covers this port.
   bool fault_targets(const noc::PortKey& key) const;
   /// One Down_Up refresh epoch of `key` under the installed injector:

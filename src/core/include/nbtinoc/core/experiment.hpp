@@ -148,6 +148,15 @@ struct RunnerOptions {
 RunResult run_experiment(sim::Scenario scenario, PolicyKind policy, const Workload& workload,
                          const RunnerOptions& options = {});
 
+/// Reads a finished run off its network and controller: per-port duty
+/// cycles, silicon, MD VC and gate transitions, the network counters and,
+/// with `faults_installed`, the "fault.*" counters. run_experiment's last
+/// step; a hand-wired run (a wrapped controller, a lockstep harness) reports
+/// through it exactly as run_experiment would.
+RunResult collect_result(const sim::Scenario& scenario, PolicyKind policy,
+                         const noc::Network& network, const PolicyGateController& controller,
+                         bool faults_installed);
+
 /// Human-readable digest of one run's configuration: every scenario field,
 /// the policy, the workload and every RunnerOptions field that shapes the
 /// object graph or any RNG stream (the scheduler mode is deliberately

@@ -137,21 +137,34 @@ noc::GateCommand PolicyGateController::decide(const noc::PortKey& key,
   if (config_.decision_period <= 1 || shared_) return compute(key, view, new_traffic, now);
   // Hysteresis: hold the previous decision for decision_period cycles.
   // Exceptions (asynchronous overrides, both computable from signals the
-  // upstream router already has): new traffic while the held command keeps
+  // upstream router already has): traffic while the held command keeps
   // nothing awake, or while the kept VC has meanwhile been allocated —
-  // either would stall VA for up to a full period.
+  // either would stall VA for up to a full period. The traffic bit is the
+  // one the deciding policy acts on: sensor-wise-no-traffic takes every
+  // cycle as carrying traffic, as compute() does, so it never holds a
+  // command that keeps nothing awake.
   HeldDecision& held = held_.at(held_index(key, view.first_vc()));
+  const bool traffic =
+      new_traffic || (config_.kind == PolicyKind::kSensorWiseNoTraffic &&
+                      acting_kind(context(key)) == PolicyKind::kSensorWiseNoTraffic);
   const bool kept_unusable =
       held.valid && held.command.enable &&
       (held.command.keep_vc < 0 || view.is_active(held.command.keep_vc));
   const bool must_refresh = !held.valid || now >= held.held_until ||
-                            (new_traffic && (!held.command.enable || kept_unusable));
+                            (traffic && (!held.command.enable || kept_unusable));
   if (must_refresh) {
     held.command = compute(key, view, new_traffic, now);
     held.held_until = now + config_.decision_period;
     held.valid = true;
   }
   return held.command;
+}
+
+PolicyKind PolicyGateController::acting_kind(const PortContext& ctx) const {
+  if (!reads_sensors(config_.kind) || !ctx.quarantined || !fault_targets(ctx.key))
+    return config_.kind;
+  return config_.kind == PolicyKind::kSensorWiseSlotMd ? PolicyKind::kRrSlot
+                                                       : PolicyKind::kRrNoSensor;
 }
 
 bool PolicyGateController::fault_targets(const noc::PortKey& key) const {
@@ -172,8 +185,7 @@ noc::GateCommand PolicyGateController::compute(const noc::PortKey& key,
   const PortContext* ctx = nullptr;
   if (reads_sensors(kind)) {
     ctx = &context(key);
-    if (ctx->quarantined && fault_targets(key))
-      kind = kind == PolicyKind::kSensorWiseSlotMd ? PolicyKind::kRrSlot : PolicyKind::kRrNoSensor;
+    kind = acting_kind(*ctx);
   }
   const auto rr_candidate = [&](int n) {
     return static_cast<int>((now / config_.rr_rotation_period) % static_cast<sim::Cycle>(n));

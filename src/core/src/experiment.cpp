@@ -351,10 +351,19 @@ RunResult run_experiment(sim::Scenario scenario, PolicyKind policy, const Worklo
   }
   run_until(total_cycles);
 
-  RunResult result;
+  RunResult result = collect_result(scenario, policy, network, controller,
+                                    /*faults_installed=*/injector.has_value());
   if (checker)
     for (const auto& v : checker->violations())
       result.invariant_violations.push_back("cycle " + std::to_string(v.cycle) + ": " + v.what);
+  return result;
+}
+
+RunResult collect_result(const sim::Scenario& scenario, PolicyKind policy,
+                         const noc::Network& network, const PolicyGateController& controller,
+                         bool faults_installed) {
+  const noc::NocConfig& config = network.config();
+  RunResult result;
   result.scenario = scenario;
   result.policy = policy;
   for (noc::NodeId id = 0; id < network.num_routers(); ++id) {
@@ -402,7 +411,7 @@ RunResult run_experiment(sim::Scenario scenario, PolicyKind policy, const Worklo
         network.stats().counter(network.router(id).flits_out_stat_key()));
   if (const auto* lat = network.stats().distribution("noc.packet_latency"))
     result.avg_packet_latency = lat->mean();
-  if (injector) {
+  if (faults_installed) {
     for (const auto& name : network.stats().counter_names())
       if (name.rfind("fault.", 0) == 0)
         result.fault_counters.emplace(name, network.stats().counter(name));

@@ -38,6 +38,21 @@ class RequestSet {
       if (w != 0) return true;
     return false;
   }
+  /// The first set index in [from, end), or `end` when there is none.
+  /// Scans whole words: the first one masked below `from`, the bits of the
+  /// last one at or past `end` ignored. Requires end <= size().
+  std::size_t find_next(std::size_t from, std::size_t end) const {
+    if (from >= end) return end;
+    std::size_t w = from >> 6;
+    const std::size_t last = (end - 1) >> 6;
+    std::uint64_t bits = words_[w] & (~std::uint64_t{0} << (from & 63));
+    while (bits == 0) {
+      if (w == last) return end;
+      bits = words_[++w];
+    }
+    const std::size_t i = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+    return i < end ? i : end;
+  }
   /// Calls f(i) for every set index i, in ascending order.
   template <typename F>
   void for_each(F&& f) const {

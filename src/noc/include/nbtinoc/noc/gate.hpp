@@ -107,12 +107,27 @@ class OutVcStateView {
 /// the view; the network rebases it onto the port before applying.
 /// `post_cycle` runs after stress accounting (sensor refresh / Down_Up
 /// update point).
+///
+/// The network skips `decide` at a port *at rest*: no VC busy, every VC
+/// gated under an active gating record (none gated under an inactive one),
+/// no new traffic toward it, no control fault targeting it, and this
+/// controller has decided it since it was installed (ARCHITECTURE.md §10).
+/// So `decide` at such a port must return the command that changes nothing
+/// and keep no state that a skipped call would have moved — unless
+/// `holds_decisions()` is true, which turns the skip off. A decorator must
+/// forward `holds_decisions()` to the controller it wraps.
 class IGateController {
  public:
   virtual ~IGateController() = default;
   virtual GateCommand decide(const PortKey& key, const OutVcStateView& view, bool new_traffic,
                              sim::Cycle now) = 0;
   virtual void post_cycle(sim::Cycle now) { (void)now; }
+
+  /// True when `decide` keeps per-port state between calls (a hysteresis
+  /// cache whose refresh cycle a skipped call would leave stale): the
+  /// network then calls it at every port every cycle, ports at rest
+  /// included. The default, false, is the contract parking already assumes.
+  virtual bool holds_decisions() const { return false; }
 
   /// Earliest cycle >= now at which this controller's `post_cycle` (or any
   /// other internal process — sensor refresh, fault machinery) does

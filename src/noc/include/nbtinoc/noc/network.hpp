@@ -159,12 +159,11 @@ class Network {
   bool router_stepped(NodeId id) const { return stepped_routers_.contains(id); }
   bool ni_stepped(NodeId t) const { return stepped_nis_.contains(t); }
 
-  /// True when router `id` sits in the per-port gating fixed point the park
-  /// condition requires: every (vnet, class) record of a port agrees, and
-  /// the port is all-gated (under an active gating command) or all-idle and
-  /// unGated (under the baseline) accordingly. Each policy's decide() is a
-  /// no-op on such a port (derived in ARCHITECTURE.md §10), so skipping the
-  /// decide call of a parked router is bit-exact.
+  /// True when every live input port of router `id` sits at its gating
+  /// fixed point (port_gating_fixed_point), the clause the park condition
+  /// requires. Each policy's decide() is a no-op on such a port while no
+  /// traffic heads toward it (derived in ARCHITECTURE.md §10), so skipping
+  /// the decide calls of a parked router is bit-exact.
   bool router_gating_fixed_point(NodeId id) const;
 
   struct SchedulerStats {
@@ -212,8 +211,22 @@ class Network {
   void gating_stage();
   /// One router's slice of the gating stage (decide + Up_Down delivery for
   /// every port/vnet/class) — shared by the full walk and the active-set
-  /// scheduler.
+  /// scheduler. A port at rest is skipped whole: its controller has decided
+  /// it before, holds no decisions, no control fault targets it, it sits at
+  /// its gating fixed point, and no new traffic heads toward it.
   void gating_stage_for(NodeId id, sim::Cycle now);
+  /// The per-port clause of the gating fixed point, read by both the park
+  /// test and the gating stage's skip: no VC busy, every (vnet, class)
+  /// record of the port agrees, the port is all-gated under an active
+  /// record (everything gateable in Recovery or the pool's whole shared
+  /// region gated, no wake in flight) or has nothing gated under an inactive
+  /// one, and a pool under an active record is not credit-starved — besides
+  /// the traffic bit, the only input the slot policies read there.
+  bool port_gating_fixed_point(NodeId id, Dir port) const;
+  /// The whole-port traffic signal of input port `port`: a head waiting for
+  /// VA toward it in the upstream router, or a packet queued at the NI of a
+  /// local port. False implies every (vnet, class) signal is false.
+  bool new_traffic_toward(NodeId id, Dir port, sim::Cycle now) const;
   /// The injector of the control faults at this port: the installed one if
   /// its plan has control faults and targets the port (an empty target list
   /// targets all), nullptr otherwise — untargeted ports draw no fault RNG.
@@ -266,14 +279,17 @@ class Network {
   /// depth - in-flight flits - in-flight credits - downstream occupancy.
   void restore_credits();
 
+  /// Dense index of an input port: router × ports per router + port.
+  std::size_t port_index(NodeId router, Dir port) const {
+    return static_cast<std::size_t>(router) * static_cast<std::size_t>(config_.ports_per_router()) +
+           static_cast<std::size_t>(port);
+  }
   /// Last applied gating mode (gating_active) per (router, port, vnet,
-  /// dateline class) — written by gating_stage, read by the park condition
-  /// to pick which fixed point (all-gated vs all-idle) each port must
+  /// dateline class) — written by gating_stage, read by the fixed-point
+  /// clause to pick which fixed point (all-gated vs all-idle) each port must
   /// satisfy. Single-class topologies collapse the class axis.
   std::size_t gating_record_index(NodeId router, Dir port, int vnet, int cls) const {
-    const auto ports = static_cast<std::size_t>(config_.ports_per_router());
-    return ((static_cast<std::size_t>(router) * ports + static_cast<std::size_t>(port)) *
-                static_cast<std::size_t>(config_.num_vnets) +
+    return (port_index(router, port) * static_cast<std::size_t>(config_.num_vnets) +
             static_cast<std::size_t>(vnet)) *
                static_cast<std::size_t>(config_.vc_classes()) +
            static_cast<std::size_t>(cls);
@@ -306,6 +322,11 @@ class Network {
   SchedulerMode scheduler_mode_ = SchedulerMode::kStepped;
   sim::SkipStats skip_stats_;
   std::vector<unsigned char> gating_record_;
+  /// Per port_index: the installed controller has decided the port at least
+  /// once. Until it has, the gating record is the previous controller's (or
+  /// the construction default), so the port cannot be at rest.
+  /// set_gate_controller and load_state clear it; never serialized.
+  std::vector<unsigned char> decided_;
 
   // --- active-set scheduler state --------------------------------------------
   sim::ActiveSet active_routers_;   ///< cycle about to execute

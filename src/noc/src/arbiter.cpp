@@ -15,11 +15,13 @@ int RoundRobinArbiter::peek(const std::vector<bool>& requests) const {
 int RoundRobinArbiter::peek(const RequestSet& requests) const {
   const std::size_t n = size_ < requests.size() ? size_ : requests.size();
   if (n == 0) return -1;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t idx = (pointer_ + i) % n;
-    if (requests.test(idx)) return static_cast<int>(idx);
-  }
-  return -1;
+  // The cyclic scan of the vector<bool> overload as two word-level finds:
+  // from the pointer up, then wrapped below it.
+  const std::size_t start = pointer_ < n ? pointer_ : pointer_ % n;
+  const std::size_t upper = requests.find_next(start, n);
+  if (upper != n) return static_cast<int>(upper);
+  const std::size_t lower = requests.find_next(0, start);
+  return lower != start ? static_cast<int>(lower) : -1;
 }
 
 int RoundRobinArbiter::arbitrate(const std::vector<bool>& requests) {

@@ -86,10 +86,14 @@ Network::Network(NocConfig config) : config_(config), controller_(&baseline_cont
                             static_cast<std::size_t>(config_.num_vnets) *
                             static_cast<std::size_t>(config_.vc_classes()),
                         0);
+  decided_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(ports), 0);
 }
 
 void Network::set_gate_controller(IGateController* controller) {
   controller_ = controller != nullptr ? controller : &baseline_controller_;
+  // The gating records are the old controller's: no port is at rest for the
+  // new one until it has decided the port once.
+  std::fill(decided_.begin(), decided_.end(), 0);
   // Mid-run swap under the active-set scheduler: parked routers sit at the
   // *old* policy's gating fixed point — wake everything so each port
   // re-proves its fixed point against the new policy before re-parking.
@@ -198,10 +202,19 @@ void Network::gating_stage_for(NodeId id, sim::Cycle now) {
   const int num_classes = config_.vc_classes();
   Router& r = router(id);
   if (r.dead()) return;  // structurally killed: no gating, no commands
+  const bool holds = controller_->holds_decisions();
   for (int p = 0; p < ports; ++p) {
     const Dir port = static_cast<Dir>(p);
     if (!r.has_input(port) || r.input_port_dead(port)) continue;
     sim::FaultInjector* port_injector = injector_for(id, port);
+    // A port at rest: every policy would return the command that changes
+    // nothing (ARCHITECTURE.md §10), the controller keeps no state the call
+    // would move, and no fault RNG draw is due — skip decide and delivery.
+    unsigned char& decided = decided_[port_index(id, port)];
+    if (decided != 0 && !holds && port_injector == nullptr && port_gating_fixed_point(id, port) &&
+        !new_traffic_toward(id, port, now))
+      continue;
+    decided = 1;
     if (config_.shared_buffers()) {
       // Shared organization: gating is slot-granular and the pool is one
       // physical resource, so the pre-VA policy decides once per *port*
@@ -209,13 +222,7 @@ void Network::gating_stage_for(NodeId id, sim::Cycle now) {
       // isolation is preserved structurally instead: every VC keeps its
       // reserved slots powered (invariant M*), so an escape class can
       // always make progress no matter which slots the policy gates.
-      bool new_traffic = false;
-      if (is_local(port)) {
-        new_traffic = ni(topo_->terminal_of(id, local_slot(port))).has_new_traffic(now);
-      } else {
-        const NodeId upstream = topo_->neighbor(id, port);
-        new_traffic = router(upstream).has_new_traffic_toward(opposite(port), now);
-      }
+      const bool new_traffic = new_traffic_toward(id, port, now);
       const OutVcStateView view(&r.input(port));
       // Slot indices are pool-absolute: no rebase.
       const GateCommand cmd = controller_->decide(PortKey{id, port}, view, new_traffic, now);
@@ -497,25 +504,41 @@ bool Network::router_gating_fixed_point(NodeId id) const {
   // Dead resources are quarantined, not gated: they hold no work, receive
   // no commands, and must not block parking.
   if (r.dead()) return true;
-  const int num_classes = config_.vc_classes();
   for (int p = 0; p < r.num_ports(); ++p) {
     const Dir port = static_cast<Dir>(p);
     if (!r.has_input(port) || r.input_port_dead(port)) continue;
-    const InputUnit& iu = r.input(port);
-    // Every (vnet, class) of the port must sit in the *same* fixed point of
-    // its last applied command. Under an active gating record that is
-    // all-VCs-gated (a kept-awake or wake-window VC would be re-gated on a
-    // later cycle — an event); under the baseline it is all-idle with
-    // nothing gated (a gated VC would need a wake — also an event). Every
-    // policy's decide() is a no-op on such a port (ARCHITECTURE.md §10),
-    // which is what makes skipping the decide call bit-exact.
-    const bool active = gating_record_[gating_record_index(id, port, 0, 0)] != 0;
-    for (int vn = 0; vn < config_.num_vnets; ++vn)
-      for (int cls = 0; cls < num_classes; ++cls)
-        if ((gating_record_[gating_record_index(id, port, vn, cls)] != 0) != active) return false;
-    if (!iu.gating_fixed_point(active, config_.total_vcs())) return false;
+    if (!port_gating_fixed_point(id, port)) return false;
   }
   return true;
+}
+
+bool Network::port_gating_fixed_point(NodeId id, Dir port) const {
+  const InputUnit& iu = routers_[static_cast<std::size_t>(id)]->input(port);
+  if (iu.busy_vcs() != 0) return false;
+  // Every (vnet, class) of the port must sit in the *same* fixed point of
+  // its last applied command. Under an active gating record that is
+  // all-VCs-gated (a kept-awake or wake-window VC would be re-gated on a
+  // later cycle — an event); under the baseline it is all-idle with
+  // nothing gated (a gated VC would need a wake — also an event). Every
+  // policy's decide() is a no-op on such a port while no traffic heads
+  // toward it (ARCHITECTURE.md §10), which is what makes skipping the
+  // decide call bit-exact. The port's records are contiguous.
+  const std::size_t first = gating_record_index(id, port, 0, 0);
+  const std::size_t records =
+      static_cast<std::size_t>(config_.num_vnets) * static_cast<std::size_t>(config_.vc_classes());
+  const bool active = gating_record_[first] != 0;
+  for (std::size_t i = 1; i < records; ++i)
+    if ((gating_record_[first + i] != 0) != active) return false;
+  if (!iu.gating_fixed_point(active, config_.total_vcs())) return false;
+  // Credit pressure makes the slot policies wake a gated slot with no
+  // traffic bit set.
+  const SharedBufferPool* pool = iu.pool();
+  return !active || pool == nullptr || !pool->credit_starved();
+}
+
+bool Network::new_traffic_toward(NodeId id, Dir port, sim::Cycle now) const {
+  if (is_local(port)) return ni(topo_->terminal_of(id, local_slot(port))).has_new_traffic(now);
+  return router(topo_->neighbor(id, port)).has_new_traffic_toward(opposite(port), now);
 }
 
 void Network::run_with_warmup(sim::Cycle warmup, sim::Cycle measure) {
@@ -934,6 +957,8 @@ void Network::load_state(sim::SnapshotReader& r) {
 
   r.expect_u64(gating_record_.size(), "gating-record size");
   for (unsigned char& g : gating_record_) g = r.u8();
+  // Whoever decided before the snapshot, every port re-decides once.
+  std::fill(decided_.begin(), decided_.end(), 0);
 
   next_structural_ = r.u64();
   next_structural_cycle_ = static_cast<sim::Cycle>(r.u64());

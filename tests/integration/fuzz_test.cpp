@@ -315,6 +315,23 @@ TEST(SchedulerDifferential, FaultStormMatchesAcrossSchedulers) {
   expect_schedulers_agree(s, core::PolicyKind::kSensorWise, core::Workload::synthetic(), options);
 }
 
+// Held decisions of sensor-wise-no-traffic: with one VC per vnet, a packet
+// holding the VC makes the policy's command keep nothing awake, and a
+// decision period of 64 holds that command. Its refresh must not wait for
+// the period: the policy treats every cycle as carrying traffic, so the held
+// command refreshes at once — otherwise it gates the VC once the packet
+// leaves, the router parks, and the refresh due at the period's end runs in
+// the stepped run alone.
+TEST(SchedulerDifferential, HeldSensorWiseNoTrafficMatchesAcrossSchedulers) {
+  sim::Scenario s = sim::Scenario::synthetic(3, 1, 0.05);
+  s.warmup_cycles = 500;
+  s.measure_cycles = 6'000;
+  core::RunnerOptions options;
+  options.policy.decision_period = 64;
+  expect_schedulers_agree(s, core::PolicyKind::kSensorWiseNoTraffic, core::Workload::synthetic(),
+                          options);
+}
+
 // Structural kills: permanent link/router failures at fixed mid-run cycles
 // force an in-flight drain, a route-table regeneration and (in active-set
 // mode) a full-fabric wake — and the degraded fabric must keep matching bit

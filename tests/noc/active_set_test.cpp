@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "nbtinoc/noc/network.hpp"
 #include "nbtinoc/sim/active_set.hpp"
 #include "nbtinoc/sim/fault_plan.hpp"
+#include "nbtinoc/sim/snapshot.hpp"
 #include "nbtinoc/traffic/request_reply.hpp"
 #include "nbtinoc/traffic/synthetic.hpp"
 
@@ -108,7 +110,9 @@ struct Twin {
 using Fingerprint = std::vector<std::uint64_t>;
 
 /// Everything observable about one router: per input VC the power state,
-/// occupancy, and gate-transition count; per output VC the credit view.
+/// occupancy, and gate-transition count; per pool slot (shared
+/// organization) its state and gate-transition count; per output VC the
+/// credit view.
 void router_fingerprint(const Network& net, NodeId id, Fingerprint& out) {
   out.clear();
   const Router& r = net.router(id);
@@ -123,6 +127,11 @@ void router_fingerprint(const Network& net, NodeId id, Fingerprint& out) {
         out.push_back(static_cast<std::uint64_t>(buf.occupancy()));
         out.push_back(buf.gate_transitions());
       }
+      if (const SharedBufferPool* pool = iu.pool())
+        for (int slot = 0; slot < pool->num_slots(); ++slot) {
+          out.push_back(static_cast<std::uint64_t>(pool->slot_state(slot)));
+          out.push_back(pool->slot_gate_transitions(slot));
+        }
     }
     // Credit views exist on cardinal outputs only (ejection is a free sink).
     if (p < kFirstLocalPort && r.has_output(port))
@@ -153,48 +162,49 @@ Fingerprint counter_fingerprint(const Network& net) {
   return out;
 }
 
-/// Drives both twins one cycle at a time, asserting per-cycle equality and
-/// the did-work attribution oracle on the active twin.
-void run_lockstep(Twin& stepped, Twin& active, sim::Cycle cycles, const std::string& label) {
-  const int routers = stepped.net.num_routers();
-  const int nodes = stepped.net.nodes();
+/// Drives both networks one cycle at a time, asserting per-cycle equality
+/// against the reference and the did-work attribution oracle on `active`.
+void run_lockstep(Network& reference, Network& active, sim::Cycle cycles,
+                  const std::string& label) {
+  const int routers = reference.num_routers();
+  const int nodes = reference.nodes();
   // The attribution oracle reads the scheduler's stepped/active sets, which
-  // only update while the twin actually runs in kActiveSet mode.
-  const bool attribute = active.net.scheduler_mode() == SchedulerMode::kActiveSet;
+  // only update while the network actually runs in kActiveSet mode.
+  const bool attribute = active.scheduler_mode() == SchedulerMode::kActiveSet;
   std::vector<Fingerprint> before_r(static_cast<std::size_t>(routers));
   std::vector<Fingerprint> before_n(static_cast<std::size_t>(nodes));
   Fingerprint fp_a, fp_s;
   for (sim::Cycle t = 0; t < cycles; ++t) {
     for (NodeId id = 0; id < routers; ++id)
-      router_fingerprint(active.net, id, before_r[static_cast<std::size_t>(id)]);
+      router_fingerprint(active, id, before_r[static_cast<std::size_t>(id)]);
     for (NodeId n = 0; n < nodes; ++n)
-      ni_fingerprint(active.net, n, before_n[static_cast<std::size_t>(n)]);
+      ni_fingerprint(active, n, before_n[static_cast<std::size_t>(n)]);
 
-    stepped.net.step();
-    active.net.step();
+    reference.step();
+    active.step();
 
     for (NodeId id = 0; id < routers; ++id) {
-      router_fingerprint(active.net, id, fp_a);
-      router_fingerprint(stepped.net, id, fp_s);
+      router_fingerprint(active, id, fp_a);
+      router_fingerprint(reference, id, fp_s);
       ASSERT_EQ(fp_a, fp_s) << label << ": router " << id << " diverged at cycle " << t;
       if (attribute && fp_a != before_r[static_cast<std::size_t>(id)]) {
         // Did-work oracle: a changed router must have been scheduled, or —
         // when a stepped neighbor allocated into it — be scheduled next.
-        EXPECT_TRUE(active.net.router_stepped(id) || active.net.router_active(id))
+        EXPECT_TRUE(active.router_stepped(id) || active.router_active(id))
             << label << ": router " << id << " changed at cycle " << t
             << " while skipped and not rescheduled";
       }
     }
     for (NodeId n = 0; n < nodes; ++n) {
-      ni_fingerprint(active.net, n, fp_a);
-      ni_fingerprint(stepped.net, n, fp_s);
+      ni_fingerprint(active, n, fp_a);
+      ni_fingerprint(reference, n, fp_s);
       ASSERT_EQ(fp_a, fp_s) << label << ": NI " << n << " diverged at cycle " << t;
       if (attribute && fp_a != before_n[static_cast<std::size_t>(n)]) {
-        EXPECT_TRUE(active.net.ni_stepped(n))
+        EXPECT_TRUE(active.ni_stepped(n))
             << label << ": NI " << n << " changed at cycle " << t << " while skipped";
       }
     }
-    ASSERT_EQ(counter_fingerprint(active.net), counter_fingerprint(stepped.net))
+    ASSERT_EQ(counter_fingerprint(active), counter_fingerprint(reference))
         << label << ": global counters diverged at cycle " << t;
   }
 }
@@ -205,7 +215,7 @@ TEST(ActiveSetOracle, LockstepMatchesSteppedAcrossScenarioGrid) {
     Twin active(s);
     active.net.set_scheduler_mode(SchedulerMode::kActiveSet);
     ASSERT_EQ(active.net.scheduler_mode(), SchedulerMode::kActiveSet);
-    run_lockstep(stepped, active, s.cycles, s.name);
+    run_lockstep(stepped.net, active.net, s.cycles, s.name);
     // The scheduler must have skipped *something* on the quiet scenarios —
     // otherwise this whole file only proves stepped == stepped.
     const auto& st = active.net.scheduler_stats();
@@ -259,7 +269,7 @@ TEST(ActiveSetOracle, FaultStormMatchesStepped) {
   stepped.net.set_fault_injector(&inj_s);
   active.net.set_fault_injector(&inj_a);
   active.net.set_scheduler_mode(SchedulerMode::kActiveSet);
-  run_lockstep(stepped, active, s.cycles, "fault-storm");
+  run_lockstep(stepped.net, active.net, s.cycles, "fault-storm");
   // Degenerate schedule: every router stepped every cycle.
   EXPECT_EQ(active.net.scheduler_stats().router_steps,
             s.cycles * static_cast<std::uint64_t>(active.net.num_routers()));
@@ -284,7 +294,7 @@ TEST(ActiveSetOracle, TargetedFaultPinsOnlyTheFaultyRouter) {
   active.net.set_fault_injector(&inj_a);
   active.net.set_scheduler_mode(SchedulerMode::kActiveSet);
   EXPECT_TRUE(active.net.router_active(4));
-  run_lockstep(stepped, active, s.cycles, "targeted-fault");
+  run_lockstep(stepped.net, active.net, s.cycles, "targeted-fault");
   const auto& st = active.net.scheduler_stats();
   // One pinned router out of nine plus the settle transient: far below
   // whole-fabric stepping, far above zero.
@@ -307,7 +317,7 @@ TEST(ActiveSetOracle, ReplyBoardWakesParkedServers) {
   traffic::install_request_reply_traffic(stepped.net, rr, 31);
   traffic::install_request_reply_traffic(active.net, rr, 31);
   active.net.set_scheduler_mode(SchedulerMode::kActiveSet);
-  run_lockstep(stepped, active, s.cycles, "request-reply");
+  run_lockstep(stepped.net, active.net, s.cycles, "request-reply");
   EXPECT_GT(active.net.stats().counter("noc.packets_ejected"), 0u);
 }
 
@@ -433,11 +443,330 @@ TEST(ActiveSetOracle, ModeRoundTripKeepsStepping) {
   Twin stepped(s);
   Twin active(s);
   active.net.set_scheduler_mode(SchedulerMode::kActiveSet);
-  run_lockstep(stepped, active, 400, "round-trip-active");
+  run_lockstep(stepped.net, active.net, 400, "round-trip-active");
   active.net.set_scheduler_mode(SchedulerMode::kStepped);
-  run_lockstep(stepped, active, 400, "round-trip-stepped");
+  run_lockstep(stepped.net, active.net, 400, "round-trip-stepped");
   active.net.set_scheduler_mode(SchedulerMode::kActiveSet);
-  run_lockstep(stepped, active, 400, "round-trip-reentry");
+  run_lockstep(stepped.net, active.net, 400, "round-trip-reentry");
+}
+
+// --- ports at rest -----------------------------------------------------------
+// The gating stage skips decide + delivery at a port at rest, under both
+// schedulers, so the stepped-vs-active comparisons above compare two runs
+// that both skip and cannot see a wrong skip. The reference here is a
+// decorator that forwards every call but claims held decisions: the network
+// then decides every port every cycle, the literal machine without the skip.
+
+/// Forwards every call to the wrapped controller and counts decide();
+/// with `reference` it claims held decisions, which turns the skip off.
+class ForwardingController final : public IGateController {
+ public:
+  ForwardingController(IGateController& inner, bool reference)
+      : inner_(&inner), reference_(reference) {}
+  GateCommand decide(const PortKey& key, const OutVcStateView& view, bool new_traffic,
+                     sim::Cycle now) override {
+    ++decide_calls;
+    return inner_->decide(key, view, new_traffic, now);
+  }
+  void post_cycle(sim::Cycle now) override { inner_->post_cycle(now); }
+  sim::Cycle next_event_cycle(sim::Cycle now) override { return inner_->next_event_cycle(now); }
+  bool holds_decisions() const override { return reference_ || inner_->holds_decisions(); }
+  const char* name() const override { return inner_->name(); }
+
+  std::uint64_t decide_calls = 0;
+
+ private:
+  IGateController* inner_;
+  bool reference_;
+};
+
+/// run_experiment's object graph for one scenario (same network, silicon,
+/// fault stream and offered load), wired by hand so that the controller can
+/// be wrapped.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdangling-pointer"
+struct Rig {
+  sim::Scenario scenario;
+  core::PolicyKind policy;
+  nbti::NbtiModel model;
+  Network net;
+  core::PolicyGateController ctrl;
+  ForwardingController forward;
+  std::optional<sim::FaultInjector> injector;
+
+  Rig(const sim::Scenario& s, core::PolicyKind kind, bool reference,
+      const sim::FaultPlan& faults = {}, sim::Cycle decision_period = 1)
+      : scenario(s),
+        policy(kind),
+        model(core::calibrated_model_of(s)),
+        net(core::noc_config_of(s)),
+        ctrl(net, policy_config(kind, decision_period), model, core::operating_point_of(s),
+             core::pv_config_of(s), s.pv_seed()),
+        forward(ctrl, reference) {
+    net.set_gate_controller(&forward);
+    if (faults.enabled()) {
+      injector.emplace(faults, s.fault_seed());
+      injector->bind_stats(&net.stats());
+      net.set_fault_injector(&*injector);
+    }
+    traffic::install_synthetic_traffic(net, traffic::PatternKind::kUniform,
+                                       s.injection_rate * s.phits_per_flit(), s.traffic_seed());
+  }
+
+  static core::PolicyConfig policy_config(core::PolicyKind kind, sim::Cycle decision_period) {
+    core::PolicyConfig pc;
+    pc.kind = kind;
+    pc.decision_period = decision_period;
+    return pc;
+  }
+
+  std::string json() const {
+    return core::to_json(core::collect_result(scenario, policy, net, ctrl, injector.has_value()));
+  }
+  /// Checkpoint bytes: the state a result omits, held decisions included.
+  std::string snapshot() const {
+    sim::SnapshotWriter w;
+    net.save_state(w);
+    ctrl.save(w);
+    return w.take();
+  }
+};
+#pragma GCC diagnostic pop
+
+struct RestCase {
+  const char* name;
+  const char* topology = "mesh";
+  const char* buffer_org = "partitioned";
+  core::PolicyKind policy = core::PolicyKind::kSensorWise;
+  double rate = 0.0;
+  int vcs = 2;
+  int vnets = 1;
+  bool targeted_fault = false;
+  sim::Cycle decision_period = 1;
+};
+
+const RestCase kRestCases[] = {
+    {"baseline-quiet", "mesh", "partitioned", core::PolicyKind::kBaseline, 0.0},
+    {"baseline-loaded", "mesh", "partitioned", core::PolicyKind::kBaseline, 0.1},
+    {"rr-no-sensor", "mesh", "partitioned", core::PolicyKind::kRrNoSensor, 0.02, 3},
+    {"sensorwise-no-traffic", "mesh", "partitioned", core::PolicyKind::kSensorWiseNoTraffic, 0.05,
+     2, 2},
+    {"sensorwise-quiet", "mesh", "partitioned", core::PolicyKind::kSensorWise, 0.0},
+    {"sensorwise-sparse", "mesh", "partitioned", core::PolicyKind::kSensorWise, 0.01, 4},
+    {"sensorwise-loaded", "mesh", "partitioned", core::PolicyKind::kSensorWise, 0.2},
+    {"sensorrank-2vnet", "mesh", "partitioned", core::PolicyKind::kSensorRank, 0.05, 2, 2},
+    {"torus-sensorwise", "torus", "partitioned", core::PolicyKind::kSensorWise, 0.03},
+    {"torus-rr", "torus", "partitioned", core::PolicyKind::kRrNoSensor, 0.0},
+    {"cmesh-sensorwise", "cmesh", "partitioned", core::PolicyKind::kSensorWise, 0.02},
+    {"cmesh-baseline", "cmesh", "partitioned", core::PolicyKind::kBaseline, 0.05},
+    {"shared-slotmd-quiet", "mesh", "shared", core::PolicyKind::kSensorWiseSlotMd, 0.0},
+    {"shared-slotmd", "mesh", "shared", core::PolicyKind::kSensorWiseSlotMd, 0.05},
+    {"shared-rr-slot", "mesh", "shared", core::PolicyKind::kRrSlot, 0.02},
+    {"shared-baseline", "mesh", "shared", core::PolicyKind::kBaseline, 0.03},
+    {"shared-cmesh-slotmd", "cmesh", "shared", core::PolicyKind::kSensorWiseSlotMd, 0.1},
+    {"targeted-fault", "mesh", "partitioned", core::PolicyKind::kSensorWise, 0.02, 2, 1, true},
+    {"sensorwise-hysteresis", "mesh", "partitioned", core::PolicyKind::kSensorWise, 0.05, 2, 1,
+     false, 7},
+    {"sensorwise-no-traffic-held", "mesh", "partitioned", core::PolicyKind::kSensorWiseNoTraffic,
+     0.05, 1, 1, false, 64},
+};
+
+/// Decisions the literal machine makes per cycle: one per live port and
+/// (vnet, class), or one per port under the shared organization.
+std::uint64_t decisions_per_cycle(const Network& net) {
+  const NocConfig& c = net.config();
+  const auto per_port =
+      static_cast<std::uint64_t>(c.shared_buffers() ? 1 : c.num_vnets * c.vc_classes());
+  std::uint64_t ports = 0;
+  for (NodeId id = 0; id < net.num_routers(); ++id)
+    for (int p = 0; p < net.router(id).num_ports(); ++p)
+      ports += net.router(id).has_input(static_cast<Dir>(p)) ? 1 : 0;
+  return ports * per_port;
+}
+
+sim::Scenario rest_scenario(const RestCase& c) {
+  const bool cmesh = std::string(c.topology) == "cmesh";
+  sim::Scenario s = sim::Scenario::synthetic(cmesh ? 4 : 3, c.vcs, c.rate);
+  s.topology = c.topology;
+  if (cmesh) s.concentration = 2;
+  s.buffer_org = c.buffer_org;
+  s.num_vnets = c.vnets;
+  s.warmup_cycles = 300;
+  s.measure_cycles = 1'500;
+  return s;
+}
+
+TEST(PortAtRest, SkipMatchesTheReferencePathAcrossGrid) {
+  sim::FaultPlan targeted = sim::FaultPlan::uniform(0.05);
+  targeted.targets = {{4, static_cast<int>(Dir::East)}};
+  for (const RestCase& c : kRestCases) {
+    const sim::Scenario s = rest_scenario(c);
+    const sim::FaultPlan faults = c.targeted_fault ? targeted : sim::FaultPlan{};
+    for (const SchedulerMode mode : {SchedulerMode::kStepped, SchedulerMode::kActiveSet}) {
+      const std::string label =
+          std::string(c.name) + (mode == SchedulerMode::kStepped ? " (stepped)" : " (active set)");
+      Rig reference(s, c.policy, /*reference=*/true, faults, c.decision_period);
+      Rig plain(s, c.policy, /*reference=*/false, faults, c.decision_period);
+      for (Rig* rig : {&reference, &plain}) {
+        rig->net.set_scheduler_mode(mode);
+        rig->net.set_measuring(false);
+      }
+      run_lockstep(reference.net, plain.net, s.warmup_cycles, label + " warmup");
+      for (Rig* rig : {&reference, &plain}) {
+        rig->net.stats().reset();
+        rig->net.set_measuring(true);
+      }
+      run_lockstep(reference.net, plain.net, s.measure_cycles, label);
+      EXPECT_EQ(plain.json(), reference.json()) << label;
+      EXPECT_EQ(plain.snapshot(), reference.snapshot()) << label;
+      EXPECT_LE(plain.forward.decide_calls, reference.forward.decide_calls) << label;
+      // The reference really is the literal machine: every port, every cycle.
+      if (mode == SchedulerMode::kStepped) {
+        EXPECT_EQ(reference.forward.decide_calls,
+                  (s.warmup_cycles + s.measure_cycles) * decisions_per_cycle(reference.net))
+            << label;
+      }
+    }
+  }
+}
+
+TEST(PortAtRest, ControllerSwapWakesEveryGatedVcOnTheNextStep) {
+  // Sensor-wise with no traffic gates every VC and then rests every port.
+  // The baseline installed next has never decided a port, so every port
+  // decides again and wakes everything in one step.
+  for (const SchedulerMode mode : {SchedulerMode::kStepped, SchedulerMode::kActiveSet}) {
+    ScenarioSpec s;
+    s.rate = 0.0;
+    Twin twin(s);
+    twin.net.set_scheduler_mode(mode);
+    twin.net.run(500);
+    const auto gated_ports = [&twin](bool all) {
+      int matching = 0;
+      int ports = 0;
+      for (NodeId id = 0; id < twin.net.num_routers(); ++id)
+        for (int p = 0; p < kNumDirs; ++p) {
+          const Dir port = static_cast<Dir>(p);
+          if (!twin.net.router(id).has_input(port)) continue;
+          const InputUnit& iu = twin.net.router(id).input(port);
+          ++ports;
+          matching += iu.gated_vcs() == (all ? iu.num_vcs() : 0) ? 1 : 0;
+        }
+      return matching == ports;
+    };
+    ASSERT_TRUE(gated_ports(/*all=*/true));
+    twin.net.set_gate_controller(nullptr);
+    twin.net.step();
+    EXPECT_TRUE(gated_ports(/*all=*/false));
+  }
+}
+
+TEST(PortAtRest, SkipCutsDecideCallsOnASparseMesh) {
+  // Sparse 8x8 sensor-wise (the sparse-8x8 benchmark's fabric, shorter):
+  // the live routers next to traffic still step, but most of their ports
+  // rest. The reference path decides each of them every cycle.
+  sim::Scenario s = sim::Scenario::synthetic(8, 4, 0.005);
+  s.warmup_cycles = 500;
+  s.measure_cycles = 4'000;
+  Rig reference(s, core::PolicyKind::kSensorWise, /*reference=*/true);
+  Rig plain(s, core::PolicyKind::kSensorWise, /*reference=*/false);
+  for (Rig* rig : {&reference, &plain}) {
+    rig->net.set_scheduler_mode(SchedulerMode::kActiveSet);
+    rig->net.run_with_warmup(s.warmup_cycles, s.measure_cycles);
+  }
+  EXPECT_EQ(plain.json(), reference.json());
+  ASSERT_GT(plain.forward.decide_calls, 0u);
+  EXPECT_GE(reference.forward.decide_calls, 4 * plain.forward.decide_calls)
+      << reference.forward.decide_calls << " reference vs " << plain.forward.decide_calls
+      << " plain decide() calls";
+}
+
+/// A controller made of one decision function; `reference` turns the skip
+/// off, as ForwardingController does.
+class FunctionController final : public IGateController {
+ public:
+  using Decide = GateCommand (*)(const OutVcStateView& view, bool new_traffic);
+  FunctionController(Decide decide, bool reference) : decide_(decide), reference_(reference) {}
+  GateCommand decide(const PortKey&, const OutVcStateView& view, bool new_traffic,
+                     sim::Cycle) override {
+    return decide_(view, new_traffic);
+  }
+  sim::Cycle next_event_cycle(sim::Cycle) override { return sim::kCycleNever; }
+  bool holds_decisions() const override { return reference_; }
+  const char* name() const override { return "function"; }
+
+ private:
+  Decide decide_;
+  bool reference_;
+};
+
+TEST(PortAtRest, ContractCornersMatchTheReferencePath) {
+  // Two legal controllers at the corners of the per-port clause. The first
+  // never gates vnet 0 and gates vnet 1 like sensor-wise, so the records of
+  // a port disagree and its awake vnet-1 VC must still be re-gated once the
+  // traffic stops. The second gates idle VCs only while a VC of the range is
+  // busy, so a busy port sits all-idle under its inactive record.
+  struct Corner {
+    const char* name;
+    int vcs;
+    int vnets;
+    FunctionController::Decide decide;
+  };
+  const Corner corners[] = {
+      {"split-vnets", 1, 2,
+       [](const OutVcStateView& view, bool new_traffic) {
+         return view.first_vc() == 0 ? GateCommand{}
+                                     : core::sensor_wise_decide(view, 0, new_traffic);
+       }},
+      {"gate-while-busy", 2, 1,
+       [](const OutVcStateView& view, bool) {
+         GateCommand cmd;
+         for (int i = 0; i < view.num_vcs(); ++i) cmd.gating_active |= view.is_active(i);
+         return cmd;  // gating active without enable: gate every idle VC
+       }},
+  };
+  for (const Corner& corner : corners) {
+    for (const SchedulerMode mode : {SchedulerMode::kStepped, SchedulerMode::kActiveSet}) {
+      NocConfig c;
+      c.width = 3;
+      c.height = 3;
+      c.num_vcs = corner.vcs;
+      c.num_vnets = corner.vnets;
+      c.buffer_depth = 4;
+      c.packet_length = 4;
+      Network reference(c);
+      Network plain(c);
+      FunctionController reference_ctrl(corner.decide, /*reference=*/true);
+      FunctionController plain_ctrl(corner.decide, /*reference=*/false);
+      reference.set_gate_controller(&reference_ctrl);
+      plain.set_gate_controller(&plain_ctrl);
+      for (Network* net : {&reference, &plain}) {
+        traffic::install_uniform_traffic(*net, 0.05, 29);
+        net->set_scheduler_mode(mode);
+      }
+      run_lockstep(reference, plain, 2'000, corner.name);
+    }
+  }
+}
+
+TEST(PortAtRest, CreditPressureKeepsAFullyGatedPoolLive) {
+  // With no traffic the slot policy gates every pool's shared region and
+  // the ports rest. A charge up to a VC's reserve (the upstream committing a
+  // flit) starves the pool, and the slot policy then wakes a gated slot
+  // with no traffic bit set: the port is no longer at rest.
+  const RestCase quiet{"shared-quiet", "mesh", "shared", core::PolicyKind::kSensorWiseSlotMd};
+  const sim::Scenario s = rest_scenario(quiet);
+  Rig reference(s, quiet.policy, /*reference=*/true);
+  Rig plain(s, quiet.policy, /*reference=*/false);
+  for (Rig* rig : {&reference, &plain}) {
+    rig->net.run(300);
+    SharedBufferPool& pool = *rig->net.router(4).input(Dir::East).pool();
+    ASSERT_EQ(pool.gated_slots(), pool.shared_capacity());
+    for (int i = 0; i < pool.reserve(); ++i) pool.charge(0);
+    ASSERT_TRUE(pool.credit_starved());
+  }
+  run_lockstep(reference.net, plain.net, 1, "credit pressure");
+  const SharedBufferPool& pool = *plain.net.router(4).input(Dir::East).pool();
+  EXPECT_LT(pool.gated_slots(), pool.shared_capacity());
 }
 
 }  // namespace

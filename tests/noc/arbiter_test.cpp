@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 namespace nbtinoc::noc {
@@ -93,23 +94,43 @@ TEST(RequestSet, SetTestClearAny) {
 }
 
 // The two overloads must grant identically: the RequestSet path replaced the
-// vector<bool> path in the router stages and must not change arbitration.
+// vector<bool> path in the router stages, and its word-level cyclic find must
+// not change arbitration. Sizes cross the 64-bit word boundaries, pointers
+// start anywhere, densities run from sparse to dense, and every other trial
+// offers a request set shorter than the arbiter (the scan then wraps at the
+// set's size). The vector<bool> overload is the reference.
 TEST(RequestSet, ArbitrateMatchesVectorBoolOverload) {
-  RoundRobinArbiter vec_arb(5);
-  RoundRobinArbiter set_arb(5);
   std::uint32_t lcg = 12345;
-  for (int round = 0; round < 200; ++round) {
-    std::vector<bool> requests(5);
-    RequestSet set(5);
-    for (std::size_t i = 0; i < 5; ++i) {
-      lcg = lcg * 1664525u + 1013904223u;
-      const bool req = (lcg >> 16) & 1u;
-      requests[i] = req;
-      if (req) set.set(i);
+  const auto next_below = [&lcg](std::size_t bound) {
+    lcg = lcg * 1664525u + 1013904223u;
+    return static_cast<std::size_t>(lcg >> 8) % bound;
+  };
+  constexpr std::size_t kDensityPercent[] = {3, 20, 50, 95};
+  for (std::size_t size = 1; size <= 130; ++size) {
+    for (int trial = 0; trial < 8; ++trial) {
+      RoundRobinArbiter vec_arb(size);
+      RoundRobinArbiter set_arb(size);
+      const std::size_t pointer = next_below(size);
+      vec_arb.set_pointer(pointer);
+      set_arb.set_pointer(pointer);
+      const std::size_t requesters = trial % 2 == 0 ? size : 1 + next_below(size);
+      const std::size_t density = kDensityPercent[trial / 2];
+      for (int round = 0; round < 20; ++round) {
+        std::vector<bool> requests(requesters);
+        RequestSet set(requesters);
+        for (std::size_t i = 0; i < requesters; ++i) {
+          if (next_below(100) >= density) continue;
+          requests[i] = true;
+          set.set(i);
+        }
+        SCOPED_TRACE("size " + std::to_string(size) + ", requesters " +
+                     std::to_string(requesters) + ", pointer " +
+                     std::to_string(set_arb.pointer()));
+        EXPECT_EQ(vec_arb.peek(requests), set_arb.peek(set));
+        EXPECT_EQ(vec_arb.arbitrate(requests), set_arb.arbitrate(set));
+        ASSERT_EQ(vec_arb.pointer(), set_arb.pointer());
+      }
     }
-    EXPECT_EQ(vec_arb.peek(requests), set_arb.peek(set));
-    EXPECT_EQ(vec_arb.arbitrate(requests), set_arb.arbitrate(set));
-    EXPECT_EQ(vec_arb.pointer(), set_arb.pointer());
   }
 }
 

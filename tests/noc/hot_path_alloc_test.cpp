@@ -28,20 +28,32 @@
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 
-void* counted_alloc(std::size_t size) {
+// Every replaceable allocation form is counted, the nothrow ones too: a form
+// left to the runtime would escape the count, and under a sanitizer its
+// block would come back through the delete below from another allocator.
+void* counted_alloc_or_null(std::size_t size) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
+  return std::malloc(size == 0 ? 1 : size);
 }
 
-void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+void* counted_aligned_alloc_or_null(std::size_t size, std::align_val_t align) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   void* p = nullptr;
   const auto alignment = static_cast<std::size_t>(align);
   if (posix_memalign(&p, alignment < sizeof(void*) ? sizeof(void*) : alignment,
                      size == 0 ? 1 : size) != 0)
-    throw std::bad_alloc();
+    return nullptr;
   return p;
+}
+
+void* counted_alloc(std::size_t size) {
+  if (void* p = counted_alloc_or_null(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+  if (void* p = counted_aligned_alloc_or_null(size, align)) return p;
+  throw std::bad_alloc();
 }
 }  // namespace
 
@@ -52,6 +64,24 @@ void* operator new(std::size_t size, std::align_val_t align) {
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
   return counted_aligned_alloc(size, align);
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc_or_null(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc_or_null(size);
+}
+void* operator new(std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc_or_null(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc_or_null(size, align);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
