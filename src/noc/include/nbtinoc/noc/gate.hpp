@@ -126,7 +126,9 @@ class IGateController {
   /// True when `decide` keeps per-port state between calls (a hysteresis
   /// cache whose refresh cycle a skipped call would leave stale): the
   /// network then calls it at every port every cycle, ports at rest
-  /// included. The default, false, is the contract parking already assumes.
+  /// included, and the active-set scheduler keeps every neighbor of a busy
+  /// router stepping, not only those its waiting heads target. The default,
+  /// false, is the contract parking already assumes.
   virtual bool holds_decisions() const { return false; }
 
   /// Earliest cycle >= now at which this controller's `post_cycle` (or any

@@ -245,10 +245,12 @@ class Network {
   /// a bare step()).
   void step_active(sim::Cycle end);
   /// End-of-cycle bookkeeping: parks / keeps each active component, wakes
-  /// neighbors of busy routers, schedules source wakes, and rotates the
-  /// wake ring into the next cycle's active sets. On a segment's last cycle
-  /// (now + 1 == end) idle NIs stay active instead of asking their sources
-  /// for a horizon: the next segment's first retire parks them.
+  /// the neighbors a busy router's waiting heads target next cycle (every
+  /// neighbor while the controller holds decisions), schedules source
+  /// wakes, and rotates the wake ring into the next cycle's active sets.
+  /// On a segment's last cycle (now + 1 == end) idle NIs stay active
+  /// instead of asking their sources for a horizon: the next segment's
+  /// first retire parks them.
   void retire_active_cycle(sim::Cycle now, sim::Cycle end);
   /// Moves heap wakes due at `now` into the active sets.
   void drain_wakes(sim::Cycle now);

@@ -99,8 +99,8 @@ class Router {
 
   /// True if any input VC holds a routed head flit toward `out` that has no
   /// output VC yet — is_new_traffic_outport_x() of Algorithms 1 and 2. A
-  /// bit test on this cycle's VA request matrix: the predicate is exactly
-  /// the one VA gathers its requests by.
+  /// bit test on the VA request matrix of cycle `now`: the predicate is
+  /// exactly the one VA gathers its requests by.
   bool has_new_traffic_toward(Dir out, sim::Cycle now) const;
   /// Same, restricted to packets of one virtual network needing one
   /// downstream dateline class (the per-class gating decision's traffic
@@ -218,10 +218,13 @@ class Router {
   /// The VA request matrix of cycle va_matrix_at_: per output port, the
   /// flattened (input port, VC) set of heads waiting for VA toward it, and
   /// per (output port, vnet, class) whether any such head exists. Built by
-  /// the first read of a cycle. Within a cycle only a VA grant, a reroute, a
-  /// purge or a load change what waits for VA (gating touches idle VCs and
-  /// free slots only, and a flit written this cycle is not eligible until
-  /// the next), and each of them marks the matrix stale.
+  /// the first read for that cycle, which may come one cycle early: the
+  /// active-set retire pass reads a busy router's rows for now + 1 once every
+  /// stage of cycle now has written its inputs. From that read through the
+  /// cycle's VA, only a VA grant, a reroute, a purge or a load change what
+  /// waits for VA (gating touches idle VCs and free slots only, and a flit
+  /// written in a cycle is not eligible until the next), and each of them
+  /// marks the matrix stale.
   void refresh_va_matrix(sim::Cycle now) const;
   /// Index into va_matrix_classes_ of (output port, vnet, class).
   std::size_t va_class_bit(int out, int vnet, int cls) const {

@@ -436,18 +436,24 @@ void Network::step_active(sim::Cycle end) {
 }
 
 void Network::retire_active_cycle(sim::Cycle now, sim::Cycle end) {
+  const bool holds = controller_->holds_decisions();
   active_routers_.for_each([&](int id) {
     Router& r = *routers_[static_cast<std::size_t>(id)];
     if (r.any_busy_input()) {
-      // A busy router's waiting flits are the new-traffic signal of every
-      // neighbor's gating stage, and its VA stage allocates directly into
-      // downstream input VCs — keep it and its neighbors live. The flood
-      // stops one hop out: woken-but-flitless neighbors park again at
-      // their own retire.
+      // Wake only the neighbors a head waits for VA toward next cycle: that
+      // head is the neighbor's new-traffic signal, and only it can be
+      // granted one of the neighbor's input VCs. The inputs are final for
+      // the cycle, so this read builds the matrix the next cycle's gating
+      // stage and VA read. Flits and credits wake their receivers through
+      // the push hooks. Held decisions are refreshed at every port of a
+      // stepped router and serialized, so a controller holding them keeps
+      // every neighbor live, as it keeps the per-port skip off.
       wake_routers_[0].insert(id);
       for (int d = 0; d < 4; ++d) {
-        const NodeId nb = topo_->neighbor(id, static_cast<Dir>(d));
-        if (nb != kInvalidNode) wake_routers_[0].insert(nb);
+        const Dir dir = static_cast<Dir>(d);
+        const NodeId nb = topo_->neighbor(id, dir);
+        if (nb != kInvalidNode && (holds || r.has_new_traffic_toward(dir, now + 1)))
+          wake_routers_[0].insert(nb);
       }
       return;
     }

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -450,6 +451,65 @@ TEST(ActiveSetOracle, ModeRoundTripKeepsStepping) {
   run_lockstep(stepped.net, active.net, 400, "round-trip-reentry");
 }
 
+/// Offers one packet at cycle `when`, and nothing else.
+class OnePacketSource final : public ITrafficSource {
+ public:
+  OnePacketSource(sim::Cycle when, NodeId dst) : when_(when), dst_(dst) {}
+  std::optional<PacketRequest> maybe_generate(sim::Cycle now) override {
+    if (fired_ || now != when_) return std::nullopt;
+    fired_ = true;
+    return PacketRequest{dst_, 4};
+  }
+  sim::Cycle next_event_cycle(sim::Cycle now) override {
+    return fired_ ? sim::kCycleNever : std::max(now, when_);
+  }
+
+ private:
+  sim::Cycle when_;
+  NodeId dst_;
+  bool fired_ = false;
+};
+
+TEST(ActiveSetOracle, CrossingPacketWakesOnlyTheRoutersItHeadsFor) {
+  // Sensor-wise with no traffic gates every VC and parks the 4x4 mesh; then
+  // one packet crosses row 1 from west to east. A busy router wakes only the
+  // neighbor its waiting head targets, so the routers beside the path (rows
+  // 0 and 2) never step. A controller holding decisions (hysteresis) keeps
+  // every neighbor of a busy router stepping instead.
+  constexpr sim::Cycle kFire = 200;
+  constexpr sim::Cycle kEnd = 400;
+  constexpr NodeId kWidth = 4;
+  constexpr NodeId kSrc = kWidth;          // (0, 1)
+  constexpr NodeId kDst = 2 * kWidth - 1;  // (3, 1)
+  for (const sim::Cycle period : {sim::Cycle{1}, sim::Cycle{7}}) {
+    ScenarioSpec s;
+    s.width = kWidth;
+    s.rate = 0.0;
+    s.decision_period = period;
+    Twin stepped(s);
+    Twin active(s);
+    for (Twin* twin : {&stepped, &active})
+      twin->net.set_traffic_source(kSrc, std::make_unique<OnePacketSource>(kFire, kDst));
+    active.net.set_scheduler_mode(SchedulerMode::kActiveSet);
+    const std::string label = "decision period " + std::to_string(period);
+    run_lockstep(stepped.net, active.net, kFire, label + " settle");
+    for (NodeId id = 0; id < active.net.num_routers(); ++id)
+      ASSERT_FALSE(active.net.router_active(id)) << label << ": router " << id << " never parked";
+    std::uint64_t beside_steps = 0;
+    for (sim::Cycle t = kFire; t < kEnd; ++t) {
+      run_lockstep(stepped.net, active.net, 1, label);
+      for (NodeId x = 0; x < kWidth; ++x)
+        for (const NodeId beside : {x, 2 * kWidth + x})
+          beside_steps += active.net.router_stepped(beside) ? 1 : 0;
+    }
+    EXPECT_EQ(active.net.stats().counter("noc.packets_ejected"), 1u) << label;
+    if (period == 1)
+      EXPECT_EQ(beside_steps, 0u) << label;
+    else
+      EXPECT_GT(beside_steps, 0u) << label;
+  }
+}
+
 // --- ports at rest -----------------------------------------------------------
 // The gating stage skips decide + delivery at a port at rest, under both
 // schedulers, so the stepped-vs-active comparisons above compare two runs
@@ -670,24 +730,49 @@ TEST(PortAtRest, ControllerSwapWakesEveryGatedVcOnTheNextStep) {
   }
 }
 
-TEST(PortAtRest, SkipCutsDecideCallsOnASparseMesh) {
-  // Sparse 8x8 sensor-wise (the sparse-8x8 benchmark's fabric, shorter):
-  // the live routers next to traffic still step, but most of their ports
-  // rest. The reference path decides each of them every cycle.
+/// Sparse 8x8 sensor-wise (the sparse-8x8 benchmark's fabric, shorter),
+/// run under the active set by the reference path and the plain one.
+sim::Scenario sparse_mesh_scenario() {
   sim::Scenario s = sim::Scenario::synthetic(8, 4, 0.005);
   s.warmup_cycles = 500;
   s.measure_cycles = 4'000;
-  Rig reference(s, core::PolicyKind::kSensorWise, /*reference=*/true);
-  Rig plain(s, core::PolicyKind::kSensorWise, /*reference=*/false);
-  for (Rig* rig : {&reference, &plain}) {
-    rig->net.set_scheduler_mode(SchedulerMode::kActiveSet);
-    rig->net.run_with_warmup(s.warmup_cycles, s.measure_cycles);
+  return s;
+}
+
+struct SparseMeshRun {
+  Rig reference{sparse_mesh_scenario(), core::PolicyKind::kSensorWise, /*reference=*/true};
+  Rig plain{sparse_mesh_scenario(), core::PolicyKind::kSensorWise, /*reference=*/false};
+
+  SparseMeshRun() {
+    for (Rig* rig : {&reference, &plain}) {
+      rig->net.set_scheduler_mode(SchedulerMode::kActiveSet);
+      rig->net.run_with_warmup(rig->scenario.warmup_cycles, rig->scenario.measure_cycles);
+    }
   }
-  EXPECT_EQ(plain.json(), reference.json());
-  ASSERT_GT(plain.forward.decide_calls, 0u);
-  EXPECT_GE(reference.forward.decide_calls, 4 * plain.forward.decide_calls)
-      << reference.forward.decide_calls << " reference vs " << plain.forward.decide_calls
+};
+
+TEST(PortAtRest, SkipCutsDecideCallsOnASparseMesh) {
+  // The live routers next to traffic still step, but most of their ports
+  // rest. The reference path decides each of them every cycle.
+  const SparseMeshRun run;
+  EXPECT_EQ(run.plain.json(), run.reference.json());
+  ASSERT_GT(run.plain.forward.decide_calls, 0u);
+  EXPECT_GE(run.reference.forward.decide_calls, 4 * run.plain.forward.decide_calls)
+      << run.reference.forward.decide_calls << " reference vs " << run.plain.forward.decide_calls
       << " plain decide() calls";
+}
+
+TEST(PortAtRest, TargetedWakeCutsRouterStepsOnASparseMesh) {
+  // A busy router wakes only the neighbors its waiting heads target. The
+  // reference path holds decisions, so it keeps every neighbor of a busy
+  // router stepping.
+  const SparseMeshRun run;
+  EXPECT_EQ(run.plain.json(), run.reference.json());
+  const std::uint64_t plain_steps = run.plain.net.scheduler_stats().router_steps;
+  const std::uint64_t reference_steps = run.reference.net.scheduler_stats().router_steps;
+  ASSERT_GT(plain_steps, 0u);
+  EXPECT_GE(reference_steps, 2 * plain_steps)
+      << reference_steps << " reference vs " << plain_steps << " plain router steps";
 }
 
 /// A controller made of one decision function; `reference` turns the skip
