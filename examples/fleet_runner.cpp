@@ -95,8 +95,8 @@ int main(int argc, char** argv) {
         std::cerr << "error: --shard wants i/N (e.g. --shard 2/8), got '" << *shard << "'\n";
         return 2;
       }
-      shard_index = std::stoi(parts[0]);
-      shard_count = std::stoi(parts[1]);
+      shard_index = static_cast<int>(util::parse_int(parts[0], "--shard"));
+      shard_count = static_cast<int>(util::parse_int(parts[1], "--shard"));
     }
 
     if (shard_count == 1) {

@@ -36,7 +36,10 @@
 // how the up*/down* regeneration rewired the fabric.
 //
 // The scenario file uses "key = value" lines; see
-// sim::scenario_from_properties for the accepted keys. Example:
+// sim::scenario_from_properties for the accepted keys. Numbers are parsed
+// strictly: "measure_cycles = 1e6", "mesh_width = 4x4" or a negative cycle
+// count is an error naming the key (exit 1), not a truncated prefix.
+// Example:
 //
 //   # 16-core study
 //   mesh_width     = 4
@@ -97,22 +100,19 @@ int main(int argc, char** argv) {
     if (const auto kills = args.get("kill")) {
       for (const std::string& token : util::split(*kills, ',')) {
         if (token.empty()) continue;
-        std::size_t pos = 0;
-        const int router = std::stoi(token, &pos);
-        bool changed = false;
-        if (pos == token.size()) {
-          changed = topo->kill_router(router);
-        } else if (pos + 1 == token.size()) {
-          const auto dir = std::string("NSEW").find(token[pos]);
-          if (dir == std::string::npos) {
-            std::cerr << "bad --kill token '" << token << "' (want e.g. 3E or 5)\n";
-            return 2;
-          }
-          changed = topo->kill_link(router, static_cast<noc::Dir>(dir));
-        } else {
+        // "<router><NSEW>" kills a link, a bare "<router>" the router.
+        const auto dir = std::string("NSEW").find(token.back());
+        const bool link = dir != std::string::npos;
+        int router = 0;
+        try {
+          router = static_cast<int>(
+              util::parse_int(link ? token.substr(0, token.size() - 1) : token, "--kill"));
+        } catch (const std::invalid_argument&) {
           std::cerr << "bad --kill token '" << token << "' (want e.g. 3E or 5)\n";
           return 2;
         }
+        const bool changed = link ? topo->kill_link(router, static_cast<noc::Dir>(dir))
+                                  : topo->kill_router(router);
         if (!changed) std::cerr << "note: '" << token << "' was already dead or unwired\n";
       }
       std::cout << "--- routes (degraded: " << *kills << ") ---\n"

@@ -108,7 +108,7 @@ class PolicyGateController final : public noc::IGateController {
   /// processes draw RNG every cycle, so the horizon is pinned to `now`
   /// (no jump ever engages); otherwise the only autonomous
   /// events are the per-port sensor refresh epochs, so the horizon is the
-  /// earliest next_refresh_cycle() across ports.
+  /// post-cycle fence: the earliest next_refresh_cycle() across ports.
   sim::Cycle next_event_cycle(sim::Cycle now) override;
   const char* name() const override;
 
@@ -201,9 +201,11 @@ class PolicyGateController final : public noc::IGateController {
   std::size_t num_ports_ = 0;  ///< existing input ports (engaged slots)
 
   /// Earliest sensor-refresh epoch across ports: fault-free post_cycle
-  /// calls before this cycle are provable no-ops and return in O(1) — the
-  /// controller-side epoch fence of the event-driven schedulers.
-  sim::Cycle post_cycle_fence_ = 0;
+  /// calls before this cycle are provable no-ops and return in O(1), and
+  /// next_event_cycle reports it as the controller's horizon. Set from the
+  /// banks at construction; only post_cycle's walk moves a bank's epoch
+  /// afterwards, and it refreshes this fence as it goes.
+  sim::Cycle post_cycle_fence_ = sim::kCycleNever;
 
   // Interned stat handles (fault.quarantined_port_cycles is bumped every
   // cycle per quarantined port — a hot-path site under fault injection).

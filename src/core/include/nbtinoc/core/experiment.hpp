@@ -90,7 +90,6 @@ struct RunResult {
 struct RunnerOptions {
   nbti::NbtiParams nbti;          ///< model parameters (calibrated internally)
   PolicyConfig policy;            ///< kind is overridden per run() call
-  bool paper_scale = false;       ///< 30e6-cycle runs instead of scaled ones
   /// Non-empty: use these per-port Vth vectors (e.g. aged silicon from a
   /// lifetime study) instead of sampling fresh process variation.
   std::map<noc::PortKey, std::vector<double>> initial_vths;
@@ -145,8 +144,8 @@ struct RunnerOptions {
 /// Runs one scenario under one policy. PV seed and traffic seed derive from
 /// the scenario alone, so different policies see identical silicon and an
 /// identical offered load.
-RunResult run_experiment(sim::Scenario scenario, PolicyKind policy, const Workload& workload,
-                         const RunnerOptions& options = {});
+RunResult run_experiment(const sim::Scenario& scenario, PolicyKind policy,
+                         const Workload& workload, const RunnerOptions& options = {});
 
 /// Reads a finished run off its network and controller: per-port duty
 /// cycles, silicon, MD VC and gate transitions, the network counters and,

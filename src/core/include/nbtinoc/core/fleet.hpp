@@ -24,8 +24,9 @@
 // from {scenario, chip index} alone, runs execute through SweepRunner, and
 // each point reduces into its own slot — so the merged JSON/CSV is
 // byte-identical for any --workers value and any shard split. Shard
-// partials carry failure times as exact IEEE bit patterns (hex), so a
-// merge loses nothing to decimal round-tripping.
+// partials are snapshot frames (sim/snapshot.hpp) keyed by fleet_digest
+// and carry failure times as exact IEEE bit patterns, so a merge loses
+// nothing to decimal round-tripping.
 
 #include <cstdint>
 #include <string>
@@ -86,7 +87,8 @@ struct FleetShardResult {
 /// Canonical textual encoding of everything that determines fleet results
 /// (one line): chips, then budget, failure fraction and horizon as exact
 /// round-trip doubles, then the config_digest of every (policy, workload)
-/// cell. Embedded in shard partials and checked at merge.
+/// cell. The config digest of shard partials' snapshot frames, checked at
+/// merge.
 std::string fleet_digest(const FleetSpec& spec);
 
 /// Runs one shard of the fleet: its simulations through SweepRunner, then
@@ -95,11 +97,13 @@ std::string fleet_digest(const FleetSpec& spec);
 FleetShardResult run_fleet_shard(const FleetSpec& spec, int shard_index, int shard_count,
                                  unsigned workers);
 
-/// Self-describing shard partial (text; doubles as hex bit patterns).
+/// Shard partial: sim::frame_snapshot(shard.digest, payload), the payload
+/// being total points, shard i and N, the outcome count and each outcome's
+/// fields as u64s and IEEE bit patterns.
 std::string serialize_fleet_shard(const FleetShardResult& shard);
-/// Parses a partial, throwing std::runtime_error with the offending line
-/// on malformed input.
-FleetShardResult parse_fleet_shard(const std::string& text);
+/// Parses a partial. A foreign, truncated, other-version or over-long file
+/// throws sim::SnapshotError (a std::runtime_error) naming the problem.
+FleetShardResult parse_fleet_shard(const std::string& bytes);
 
 /// Per-(policy, workload) failure-time distribution.
 struct FleetGroupReport {

@@ -80,10 +80,6 @@ class SweepResult {
   auto begin() const { return points_.begin(); }
   auto end() const { return points_.end(); }
 
-  /// Sum of per-point wall times (= CPU-ish cost; wall time of the whole
-  /// sweep is lower under >1 worker).
-  double total_point_seconds() const;
-
   /// JSON document: {"points": [{"label", "wall_seconds", "result": <core::to_json>}...]}.
   std::string to_json() const;
 

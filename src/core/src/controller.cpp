@@ -93,6 +93,7 @@ PolicyGateController::PolicyGateController(noc::Network& network, PolicyConfig c
                     nbti::NbtiSensorBank(bank_vths, model, op, config_.sensor, noise_seeder.next()),
                     std::vector<double>(bank_vths.size())};
     ctx.deliver_intact();
+    post_cycle_fence_ = std::min(post_cycle_fence_, ctx.sensors.next_refresh_cycle());
     ports_[slot_of(key)].emplace(std::move(ctx));
   }
   if (config_.decision_period > 1 && !shared_)
@@ -270,12 +271,9 @@ sim::Cycle PolicyGateController::next_event_cycle(sim::Cycle now) {
   if (injector != nullptr && injector->enabled()) return now;
   // Otherwise post_cycle only acts at sensor epoch boundaries. The refresh
   // itself must be *stepped* (it reads elapsed time and draws noise RNG at
-  // exactly its due cycle), so report the earliest due cycle across ports
-  // and let the engine land on it.
-  sim::Cycle horizon = sim::kCycleNever;
-  for (const auto& ctx : ports_)
-    if (ctx) horizon = std::min(horizon, ctx->sensors.next_refresh_cycle());
-  return std::max(horizon, now);
+  // exactly its due cycle), so report the earliest due cycle across ports,
+  // which post_cycle keeps as its fence, and let the engine land on it.
+  return std::max(post_cycle_fence_, now);
 }
 
 void PolicyGateController::faulted_epoch(const noc::PortKey& key, PortContext& ctx) {

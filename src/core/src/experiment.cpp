@@ -57,7 +57,6 @@ std::string config_digest(const sim::Scenario& s, PolicyKind policy, const Workl
   d += " nbti=" + digest_doubles({n.n, n.tox_nm, n.te_nm, n.xi1, n.xi2, n.ea_ev,
                                   n.inv_t0_nm2_per_s, n.e0_v_per_nm, n.kv_prefactor,
                                   n.anchor_dvth_v, n.anchor_years, n.short_time_ramp_s});
-  if (options.paper_scale) d += " paper_scale";
   switch (workload.kind) {
     case Workload::Kind::kSynthetic:
       d += " workload=synthetic/" + std::to_string(static_cast<int>(workload.pattern));
@@ -190,9 +189,8 @@ noc::NocConfig noc_config_of(const sim::Scenario& scenario) {
   return config;
 }
 
-RunResult run_experiment(sim::Scenario scenario, PolicyKind policy, const Workload& workload,
-                         const RunnerOptions& options) {
-  if (options.paper_scale) scenario.use_paper_scale();
+RunResult run_experiment(const sim::Scenario& scenario, PolicyKind policy,
+                         const Workload& workload, const RunnerOptions& options) {
   scenario.validate();
   options.policy.validate();
   options.faults.validate();

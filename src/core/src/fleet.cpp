@@ -1,55 +1,20 @@
 #include "nbtinoc/core/fleet.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <stdexcept>
 
 #include "digest.hpp"
 #include "nbtinoc/core/sweep.hpp"
+#include "nbtinoc/sim/snapshot.hpp"
 #include "nbtinoc/util/json.hpp"
 #include "nbtinoc/util/rng.hpp"
-#include "nbtinoc/util/strings.hpp"
 #include "nbtinoc/util/table.hpp"
 
 namespace nbtinoc::core {
 
 namespace {
-
-std::string hex_bits(double v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
-  return buf;
-}
-
-double bits_hex(const std::string& field, const std::string& line) {
-  std::size_t used = 0;
-  std::uint64_t bits = 0;
-  try {
-    bits = std::stoull(field, &used, 16);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != field.size() || field.empty())
-    throw std::runtime_error("fleet shard: bad f64 bit pattern \"" + field + "\" in line: " + line);
-  return std::bit_cast<double>(bits);
-}
-
-std::size_t parse_size(const std::string& field, const std::string& line) {
-  std::size_t used = 0;
-  unsigned long long v = 0;
-  try {
-    v = std::stoull(field, &used, 10);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != field.size() || field.empty())
-    throw std::runtime_error("fleet shard: bad integer \"" + field + "\" in line: " + line);
-  return static_cast<std::size_t>(v);
-}
 
 /// Nearest-rank percentile on an ascending vector: element at index
 /// floor(q * n), clamped — q = 0 gives the min, q -> 1 the max.
@@ -190,68 +155,42 @@ FleetShardResult run_fleet_shard(const FleetSpec& spec, int shard_index, int sha
 }
 
 std::string serialize_fleet_shard(const FleetShardResult& shard) {
-  std::string out = "NBTIFLEET v1\n";
-  out += "digest " + shard.digest + "\n";
-  out += "points " + std::to_string(shard.total_points) + " shard " +
-         std::to_string(shard.shard_index) + "/" + std::to_string(shard.shard_count) +
-         " outcomes " + std::to_string(shard.outcomes.size()) + "\n";
+  sim::SnapshotWriter w;
+  w.u64(shard.total_points);
+  w.u64(static_cast<std::uint64_t>(shard.shard_index));
+  w.u64(static_cast<std::uint64_t>(shard.shard_count));
+  w.u64(shard.outcomes.size());
   for (const FleetPointOutcome& o : shard.outcomes) {
-    out += "O " + std::to_string(o.index) + " " + std::to_string(o.chip) + " " +
-           std::to_string(o.policy_index) + " " + std::to_string(o.workload_index) + " " +
-           hex_bits(o.failure_years) + " " + hex_bits(o.worst_duty_percent) + "\n";
+    w.u64(o.index);
+    w.u64(static_cast<std::uint64_t>(o.chip));
+    w.u64(o.policy_index);
+    w.u64(o.workload_index);
+    w.f64(o.failure_years);
+    w.f64(o.worst_duty_percent);
   }
-  out += "END\n";
-  return out;
+  return sim::frame_snapshot(shard.digest, w.data());
 }
 
-FleetShardResult parse_fleet_shard(const std::string& text) {
-  const std::vector<std::string> lines = util::split(text, '\n');
-  if (lines.empty() || lines[0] != "NBTIFLEET v1")
-    throw std::runtime_error(
-        "fleet shard: missing \"NBTIFLEET v1\" header (is this a shard partial file?)");
-  if (lines.size() < 3 || !util::starts_with(lines[1], "digest "))
-    throw std::runtime_error("fleet shard: missing digest line");
-
+FleetShardResult parse_fleet_shard(const std::string& bytes) {
+  // The frame carries the digest the merge checks against its own spec.
   FleetShardResult shard;
-  shard.digest = lines[1].substr(7);
-
-  const std::vector<std::string> meta = util::split(lines[2], ' ');
-  if (meta.size() != 6 || meta[0] != "points" || meta[2] != "shard" || meta[4] != "outcomes")
-    throw std::runtime_error("fleet shard: malformed meta line: " + lines[2]);
-  shard.total_points = parse_size(meta[1], lines[2]);
-  const std::vector<std::string> split_shard = util::split(meta[3], '/');
-  if (split_shard.size() != 2)
-    throw std::runtime_error("fleet shard: malformed shard i/N field: " + lines[2]);
-  shard.shard_index = static_cast<int>(parse_size(split_shard[0], lines[2]));
-  shard.shard_count = static_cast<int>(parse_size(split_shard[1], lines[2]));
-  const std::size_t expected = parse_size(meta[5], lines[2]);
-
-  bool terminated = false;
-  for (std::size_t i = 3; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    if (lines[i] == "END") {
-      terminated = true;
-      continue;
-    }
-    if (terminated) throw std::runtime_error("fleet shard: content after END: " + lines[i]);
-    const std::vector<std::string> f = util::split(lines[i], ' ');
-    if (f.size() != 7 || f[0] != "O")
-      throw std::runtime_error("fleet shard: malformed outcome line: " + lines[i]);
+  shard.digest = sim::snapshot_digest(bytes);
+  sim::SnapshotReader r = sim::open_snapshot(bytes, shard.digest);
+  shard.total_points = r.u64();
+  shard.shard_index = static_cast<int>(r.u64());
+  shard.shard_count = static_cast<int>(r.u64());
+  const std::uint64_t count = r.u64();
+  for (std::uint64_t i = 0; i < count; ++i) {
     FleetPointOutcome o;
-    o.index = parse_size(f[1], lines[i]);
-    o.chip = static_cast<int>(parse_size(f[2], lines[i]));
-    o.policy_index = parse_size(f[3], lines[i]);
-    o.workload_index = parse_size(f[4], lines[i]);
-    o.failure_years = bits_hex(f[5], lines[i]);
-    o.worst_duty_percent = bits_hex(f[6], lines[i]);
+    o.index = r.u64();
+    o.chip = static_cast<int>(r.u64());
+    o.policy_index = r.u64();
+    o.workload_index = r.u64();
+    o.failure_years = r.f64();
+    o.worst_duty_percent = r.f64();
     shard.outcomes.push_back(o);
   }
-  if (!terminated)
-    throw std::runtime_error("fleet shard: truncated partial (no END line) — the producing "
-                             "shard run did not finish");
-  if (shard.outcomes.size() != expected)
-    throw std::runtime_error("fleet shard: outcome count " + std::to_string(shard.outcomes.size()) +
-                             " does not match the declared " + std::to_string(expected));
+  r.expect_end();
   return shard;
 }
 

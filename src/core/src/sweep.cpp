@@ -40,12 +40,6 @@ std::string SweepPoint::describe() const {
 
 SweepResult::SweepResult(std::vector<SweepPointResult> points) : points_(std::move(points)) {}
 
-double SweepResult::total_point_seconds() const {
-  double total = 0.0;
-  for (const auto& p : points_) total += p.wall_seconds;
-  return total;
-}
-
 std::string SweepResult::to_json() const {
   // core::to_json already emits a complete object per run; splice those
   // documents into a wrapper array rather than re-serializing the result.

@@ -60,7 +60,6 @@ class AgingForecaster {
                       double initial_vth_v) const;
 
   const NbtiModel& model() const { return *model_; }
-  const OperatingPoint& operating_point() const { return op_; }
 
   static double years_to_seconds(double years) { return years * 365.25 * 24.0 * 3600.0; }
 

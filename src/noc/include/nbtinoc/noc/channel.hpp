@@ -42,9 +42,6 @@ class Channel {
     return payload;
   }
 
-  /// Pooled slots currently reserved (high-water mark of in_flight()).
-  std::size_t slot_capacity() const { return in_flight_.capacity(); }
-
   /// Peeks without consuming; nullptr when nothing is deliverable.
   const T* peek_ready(sim::Cycle now) const {
     if (in_flight_.empty() || in_flight_.front().first > now) return nullptr;
@@ -108,7 +105,6 @@ class Channel {
 
   /// Installs (or removes, with an empty function) the push observer.
   void set_push_hook(PushHook hook) { on_push_ = std::move(hook); }
-  bool has_push_hook() const { return static_cast<bool>(on_push_); }
 
  private:
   sim::Cycle delay_;

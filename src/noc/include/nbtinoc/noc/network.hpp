@@ -134,9 +134,6 @@ class Network {
   /// Flits physically removed by structural-fault drains so far — the
   /// -Δ term of the invariant checker's conservation audit.
   std::uint64_t dropped_flits() const { return dropped_flits_total_; }
-  /// Cycle of the next pending structural kill (kCycleNever when none) —
-  /// the fence the active-set scheduler's full-park jump never crosses.
-  sim::Cycle next_structural_cycle() const { return next_structural_cycle_; }
 
   // --- execution engines (sim::ActiveSet, sim::EventHorizon) -----------------
   /// Selects the execution engine. Defaults to kStepped (load_state and
@@ -346,6 +343,8 @@ class Network {
   // --- structural-fault schedule ---------------------------------------------
   std::vector<sim::StructuralFault> structural_events_;  ///< sorted (cycle, router, port)
   std::size_t next_structural_ = 0;          ///< first unapplied event
+  /// Cycle of that event (kCycleNever when none): the fence the active-set
+  /// scheduler's full-park jump never crosses.
   sim::Cycle next_structural_cycle_ = sim::kCycleNever;
   std::uint64_t dropped_flits_total_ = 0;    ///< flits removed by drains
 

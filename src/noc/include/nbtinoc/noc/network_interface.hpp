@@ -71,7 +71,6 @@ class NetworkInterface {
   bool sending() const { return sending_; }
   PacketId sending_packet() const { return send_id_; }
   NodeId sending_dst() const { return send_pkt_.dst; }
-  int sending_vc() const { return send_vc_; }
   /// Abandons the in-flight packet without sending its tail (the kill
   /// protocol purged its flits); the owning VC was purged separately.
   void cancel_sending() {
@@ -87,8 +86,8 @@ class NetworkInterface {
 
   /// Drops every queued packet that can no longer reach its destination on
   /// the degraded fabric (dead destination tile or no surviving path).
-  /// Returns the number dropped; each is counted as fault.unroutable_packets.
-  std::uint64_t drop_queued_unroutable();
+  /// Each one is counted as fault.unroutable_packets.
+  void drop_queued_unroutable();
 
   /// True when the NI holds no work at all: nothing queued and no packet
   /// mid-serialization. Part of the NI park condition — an idle NI

@@ -121,13 +121,6 @@ class Router {
   /// scheduler modes agree bit for bit.
   RouteEntry route_for(Dir in_port, const Flit& flit) const;
 
-  /// Cumulative flits forwarded through cardinal output `out` — the
-  /// "stress" signal of the least-stressed adaptive selection and the
-  /// reroute diagnostics.
-  std::uint64_t port_forwarded(Dir out) const {
-    return port_forwarded_[static_cast<std::size_t>(out)];
-  }
-
   // --- structural-fault bookkeeping ------------------------------------------
   /// A dead input port never gates, wakes or receives again (its VCs were
   /// purged and parked in Recovery by the network's kill protocol); a dead

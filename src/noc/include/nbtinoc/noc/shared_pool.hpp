@@ -85,8 +85,6 @@ class SharedBufferPool {
   std::uint64_t slot_gate_transitions(int slot) const {
     return gate_transitions_.at(static_cast<std::size_t>(slot));
   }
-  /// The resident flit of an Occupied slot (InvariantChecker audits).
-  const Flit& slot_flit(int slot) const { return flits_.at(static_cast<std::size_t>(slot)); }
 
   // --- credit / reservation accounting (upstream view) ----------------------
   /// Flits the upstream has committed toward VC v and not yet been credited
@@ -152,8 +150,6 @@ class SharedBufferPool {
   /// wakeup_latency cycles elapse. No-op on non-Gated slots (a re-issued or
   /// corrupted wake command retries harmlessly).
   void wake_slot(int slot, sim::Cycle now);
-  /// Wakes every Gated slot (the gating_active=false edge).
-  void wake_all(sim::Cycle now);
   /// Moves every Waking slot whose deadline has passed back onto the free
   /// list. Run at the end of gate-command application so a woken slot is
   /// allocatable the cycle it matures and re-gateable the cycle after —

@@ -39,8 +39,8 @@ bool NetworkInterface::unroutable(NodeId dst) const {
          !topo_->route(topo_->router_of(node_), dst).reachable();
 }
 
-std::uint64_t NetworkInterface::drop_queued_unroutable() {
-  if (dead_ || topo_ == nullptr || !topo_->degraded()) return 0;
+void NetworkInterface::drop_queued_unroutable() {
+  if (dead_ || topo_ == nullptr || !topo_->degraded()) return;
   std::uint64_t dropped = 0;
   const std::size_t n = queue_.size();
   for (std::size_t i = 0; i < n; ++i) {
@@ -53,7 +53,6 @@ std::uint64_t NetworkInterface::drop_queued_unroutable() {
     }
   }
   if (dropped != 0) stats_->add(h_unroutable_, dropped);
-  return dropped;
 }
 
 void NetworkInterface::receive(sim::Cycle now) {

@@ -101,12 +101,6 @@ void SharedBufferPool::wake_slot(int slot, sim::Cycle now) {
     trackers_[static_cast<std::size_t>(slot)]->note_state(true, now);
 }
 
-void SharedBufferPool::wake_all(sim::Cycle now) {
-  if (gated_count_ == 0) return;
-  for (int s = 0; s < num_slots_ && gated_count_ > 0; ++s)
-    if (state_[static_cast<std::size_t>(s)] == SlotState::kGated) wake_slot(s, now);
-}
-
 void SharedBufferPool::promote_woken(sim::Cycle now) {
   while (waking_head_ != kNone && ready_[static_cast<std::size_t>(waking_head_)] <= now) {
     const int slot = waking_head_;

@@ -59,8 +59,6 @@ namespace nbtinoc::sim {
 /// Health of one sensor site as the fault process sees it.
 enum class SensorFaultMode { kHealthy, kStuck, kDrifting, kDead };
 
-std::string to_string(SensorFaultMode mode);
-
 /// One scheduled permanent *data-plane* failure. Unlike the probabilistic
 /// control-plane processes below, structural faults are explicit events at
 /// fixed cycles: both scheduler modes (stepped, active-set) apply them at
@@ -194,9 +192,6 @@ class FaultInjector {
   void count_purged_packets(std::uint64_t n);
   /// Route-table regenerations triggered by structural faults.
   void count_route_regen();
-  /// Packets discarded at generation because no route survives to their
-  /// destination (dead terminal or disconnected fabric).
-  void count_unroutable_packets(std::uint64_t n);
 
   // --- sensor fault process ------------------------------------------------
   /// Steps the fault state machine of every site of one port by one epoch.
@@ -239,7 +234,6 @@ class FaultInjector {
     kDroppedFlits,
     kPurgedPackets,
     kRouteRegens,
-    kUnroutablePackets,
     kNumFaultStats,
   };
 

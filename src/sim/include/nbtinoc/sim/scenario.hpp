@@ -108,7 +108,10 @@ struct Scenario {
 ///   link_width_bits, packet_length, injection_rate, wakeup_latency,
 ///   warmup_cycles, measure_cycles, clock_ghz, technology_nm (45 or 32),
 ///   vth_sigma_v, temperature_k, vdd_v
-/// Unknown keys throw std::invalid_argument (typo protection).
+/// Unknown keys throw std::invalid_argument (typo protection), and so do
+/// values that are not one whole number (util::parse_int/parse_double:
+/// "1e6" is not an integer), int knobs past the int range, and negative
+/// cycle counts.
 Scenario scenario_from_properties(const std::map<std::string, std::string>& props);
 
 }  // namespace nbtinoc::sim

@@ -57,6 +57,10 @@ class SnapshotWriter {
   void b(bool v) { u8(v ? 1 : 0); }
   void f64(double v);
   void str(std::string_view v);
+  /// Appends bytes as they are (magic strings, framed payloads).
+  void raw(std::string_view v) { data_.append(v); }
+  /// Pre-sizes the buffer for writers that know their total size.
+  void reserve(std::size_t bytes) { data_.reserve(bytes); }
 
   /// Convenience for the common vector<double> payloads (Vth banks).
   void f64_vec(const std::vector<double>& v);

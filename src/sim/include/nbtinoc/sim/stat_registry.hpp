@@ -85,7 +85,6 @@ class StatRegistry {
   /// zeroed-but-untouched interned slots are not reported, so reset()
   /// preserves the pre-interning observable behavior exactly.
   std::vector<std::string> counter_names() const;
-  std::vector<std::string> distribution_names() const;
 
   /// Zeroes every counter and distribution. Dense storage and the name
   /// index are preserved: handles held by wired components remain valid and

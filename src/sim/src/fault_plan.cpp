@@ -6,20 +6,6 @@
 
 namespace nbtinoc::sim {
 
-std::string to_string(SensorFaultMode mode) {
-  switch (mode) {
-    case SensorFaultMode::kHealthy:
-      return "healthy";
-    case SensorFaultMode::kStuck:
-      return "stuck";
-    case SensorFaultMode::kDrifting:
-      return "drifting";
-    case SensorFaultMode::kDead:
-      return "dead";
-  }
-  return "?";
-}
-
 bool FaultPlan::targets_port(int node, int port) const {
   if (targets.empty()) return true;
   for (const auto& [t_node, t_port] : targets)
@@ -124,7 +110,6 @@ void FaultInjector::bind_stats(StatRegistry* stats) {
   handles_[kDroppedFlits] = stats_->intern("fault.dropped_flits");
   handles_[kPurgedPackets] = stats_->intern("fault.purged_packets");
   handles_[kRouteRegens] = stats_->intern("fault.route_regens");
-  handles_[kUnroutablePackets] = stats_->intern("fault.unroutable_packets");
 }
 
 void FaultInjector::count(FaultStat stat, std::uint64_t delta) {
@@ -144,10 +129,6 @@ void FaultInjector::count_purged_packets(std::uint64_t n) {
 }
 
 void FaultInjector::count_route_regen() { count(kRouteRegens); }
-
-void FaultInjector::count_unroutable_packets(std::uint64_t n) {
-  if (n > 0) count(kUnroutablePackets, n);
-}
 
 bool FaultInjector::drop_gate_command() {
   if (plan_.gate_cmd_drop_rate <= 0.0) return false;

@@ -1,10 +1,10 @@
 #include "nbtinoc/sim/scenario.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <sstream>
 
+#include "nbtinoc/util/properties.hpp"
 #include "nbtinoc/util/rng.hpp"
 
 namespace nbtinoc::sim {
@@ -207,52 +207,53 @@ Scenario scenario_from_properties(const std::map<std::string, std::string>& prop
     if (!known.count(key))
       throw std::invalid_argument("scenario_from_properties: unknown key '" + key + "'");
   }
-  const auto get_int = [&](const char* key, long long fallback) {
-    const auto it = props.find(key);
-    return it == props.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  // Numbers parse strictly (util::parse_int/parse_double); an int knob
+  // must also fit an int, and a cycle count must be >= 0, because Cycle is
+  // unsigned and a negative value would silently wrap to ~2^64.
+  const std::string where = "scenario_from_properties: ";
+  const auto get_int = [&](const char* key, int fallback) {
+    const long long v = util::get_int_or(props, key, fallback);
+    if (v != static_cast<int>(v)) throw std::invalid_argument(where + key + " does not fit an int");
+    return static_cast<int>(v);
   };
-  const auto get_double = [&](const char* key, double fallback) {
-    const auto it = props.find(key);
-    return it == props.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  const auto get_cycles = [&](const char* key, Cycle fallback) {
+    const long long v = util::get_int_or(props, key, static_cast<long long>(fallback));
+    if (v < 0) throw std::invalid_argument(where + key + " must be >= 0");
+    return static_cast<Cycle>(v);
   };
 
   Scenario s;
-  const long long node = get_int("technology_nm", 45);
+  const int node = get_int("technology_nm", 45);
   if (node == 32) s.tech = Technology::node_32nm();
   else if (node == 45) s.tech = Technology::node_45nm();
   else throw std::invalid_argument("scenario_from_properties: technology_nm must be 45 or 32");
 
-  s.mesh_width = static_cast<int>(get_int("mesh_width", s.mesh_width));
-  s.mesh_height = static_cast<int>(get_int("mesh_height", s.mesh_width));
+  s.mesh_width = get_int("mesh_width", s.mesh_width);
+  s.mesh_height = get_int("mesh_height", s.mesh_width);
   if (const auto it = props.find("topology"); it != props.end()) s.topology = it->second;
   if (const auto it = props.find("routing"); it != props.end()) s.routing = it->second;
-  s.concentration = static_cast<int>(get_int("concentration", s.concentration));
-  s.num_vcs = static_cast<int>(get_int("num_vcs", s.num_vcs));
-  s.num_vnets = static_cast<int>(get_int("num_vnets", s.num_vnets));
-  s.buffer_depth = static_cast<int>(get_int("buffer_depth", s.buffer_depth));
+  s.concentration = get_int("concentration", s.concentration);
+  s.num_vcs = get_int("num_vcs", s.num_vcs);
+  s.num_vnets = get_int("num_vnets", s.num_vnets);
+  s.buffer_depth = get_int("buffer_depth", s.buffer_depth);
   if (const auto it = props.find("buffer_org"); it != props.end()) s.buffer_org = it->second;
-  s.shared_reserve = static_cast<int>(get_int("shared_reserve", s.shared_reserve));
-  s.flit_width_bits = static_cast<int>(get_int("flit_width_bits", s.flit_width_bits));
-  s.link_width_bits = static_cast<int>(get_int("link_width_bits", s.link_width_bits));
-  s.packet_length = static_cast<int>(get_int("packet_length", s.packet_length));
-  s.injection_rate = get_double("injection_rate", s.injection_rate);
-  const long long wakeup = get_int("wakeup_latency", 0);
-  // Cycle is unsigned: a negative value would silently wrap to ~2^64.
-  if (wakeup < 0)
-    throw std::invalid_argument("scenario_from_properties: wakeup_latency must be >= 0");
-  s.wakeup_latency = static_cast<Cycle>(wakeup);
-  s.router_stages = static_cast<int>(get_int("router_stages", s.router_stages));
+  s.shared_reserve = get_int("shared_reserve", s.shared_reserve);
+  s.flit_width_bits = get_int("flit_width_bits", s.flit_width_bits);
+  s.link_width_bits = get_int("link_width_bits", s.link_width_bits);
+  s.packet_length = get_int("packet_length", s.packet_length);
+  s.injection_rate = util::get_double_or(props, "injection_rate", s.injection_rate);
+  s.wakeup_latency = get_cycles("wakeup_latency", 0);
+  s.router_stages = get_int("router_stages", s.router_stages);
   if (s.router_stages < 3)
     throw std::invalid_argument("scenario_from_properties: router_stages must be >= 3");
-  s.warmup_cycles = static_cast<Cycle>(get_int("warmup_cycles", static_cast<long long>(s.warmup_cycles)));
-  s.measure_cycles =
-      static_cast<Cycle>(get_int("measure_cycles", static_cast<long long>(s.measure_cycles)));
-  const double ghz = get_double("clock_ghz", 1.0);
+  s.warmup_cycles = get_cycles("warmup_cycles", s.warmup_cycles);
+  s.measure_cycles = get_cycles("measure_cycles", s.measure_cycles);
+  const double ghz = util::get_double_or(props, "clock_ghz", 1.0);
   if (ghz <= 0.0) throw std::invalid_argument("scenario_from_properties: clock_ghz must be > 0");
   s.clock_period_s = 1e-9 / ghz;
-  s.tech.vth_sigma_v = get_double("vth_sigma_v", s.tech.vth_sigma_v);
-  s.tech.temperature_k = get_double("temperature_k", s.tech.temperature_k);
-  s.tech.vdd_v = get_double("vdd_v", s.tech.vdd_v);
+  s.tech.vth_sigma_v = util::get_double_or(props, "vth_sigma_v", s.tech.vth_sigma_v);
+  s.tech.temperature_k = util::get_double_or(props, "temperature_k", s.tech.temperature_k);
+  s.tech.vdd_v = util::get_double_or(props, "vdd_v", s.tech.vdd_v);
 
   const auto name_it = props.find("name");
   if (name_it != props.end()) {

@@ -40,7 +40,7 @@ void SnapshotWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
 void SnapshotWriter::str(std::string_view v) {
   u32(static_cast<std::uint32_t>(v.size()));
-  data_.append(v);
+  raw(v);
 }
 
 void SnapshotWriter::f64_vec(const std::vector<double>& v) {
@@ -119,14 +119,11 @@ void SnapshotReader::expect_end() const {
 
 std::string frame_snapshot(std::string_view config_digest, std::string_view payload) {
   SnapshotWriter w;
+  w.raw(kSnapshotMagic);
+  w.u32(kSnapshotVersion);
   w.str(config_digest);
-  std::string framed(kSnapshotMagic);
-  SnapshotWriter header;
-  header.u32(kSnapshotVersion);
-  framed += header.data();
-  framed += w.data();
-  framed.append(payload);
-  return framed;
+  w.raw(payload);
+  return w.take();
 }
 
 namespace {

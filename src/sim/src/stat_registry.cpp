@@ -47,14 +47,6 @@ std::vector<std::string> StatRegistry::counter_names() const {
   return names;
 }
 
-std::vector<std::string> StatRegistry::distribution_names() const {
-  std::vector<std::string> names;
-  names.reserve(distribution_index_.size());
-  for (const auto& [name, idx] : distribution_index_)
-    if (distributions_[idx].touched) names.push_back(name);
-  return names;
-}
-
 void StatRegistry::reset() {
   for (auto& slot : counters_) slot = CounterSlot{};
   for (auto& slot : distributions_) slot = DistributionSlot{};

@@ -48,7 +48,6 @@ class AppTrafficSource final : public noc::ITrafficSource {
   sim::Cycle next_event_cycle(sim::Cycle now) override;
 
   const AppProfile& profile() const { return profile_; }
-  bool in_burst() const { return on_; }
 
   /// Long-run mean packet generation probability implied by the profile.
   double mean_packet_probability() const;
@@ -85,7 +84,7 @@ class AppTrafficSource final : public noc::ITrafficSource {
 
   // Pre-roll frontier (see SyntheticSource). on_ above is the Markov state
   // as of cycle rolled_until_, which may run ahead of the last consumed
-  // cycle; in_burst() is therefore only meaningful to stepped callers.
+  // cycle.
   sim::Cycle rolled_until_ = 0;
   sim::Cycle next_fire_ = sim::kCycleNever;
 };

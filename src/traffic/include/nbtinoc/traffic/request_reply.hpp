@@ -101,19 +101,18 @@ class RequestReplySource final : public noc::ITrafficSource {
   /// install_request_reply_traffic guarantees.
   sim::Cycle next_event_cycle(sim::Cycle now) override;
 
-  std::uint64_t requests_sent() const { return requests_sent_; }
   std::uint64_t replies_sent() const { return replies_sent_; }
 
   void save(sim::SnapshotWriter& w) const override {
     sim::save_rng(w, rng_);
-    w.u64(requests_sent_);
+    w.u64(0);  // reserved: v3 keeps the slot of a request count nothing read
     w.u64(replies_sent_);
     w.u64(static_cast<std::uint64_t>(rolled_until_));
     w.u64(static_cast<std::uint64_t>(next_fire_));
   }
   void load(sim::SnapshotReader& r) override {
     sim::load_rng(r, rng_);
-    requests_sent_ = r.u64();
+    r.u64();  // reserved slot
     replies_sent_ = r.u64();
     rolled_until_ = static_cast<sim::Cycle>(r.u64());
     next_fire_ = static_cast<sim::Cycle>(r.u64());
@@ -127,7 +126,6 @@ class RequestReplySource final : public noc::ITrafficSource {
   RequestReplyConfig config_;
   ReplyBoard* board_;
   util::Xoshiro256 rng_;
-  std::uint64_t requests_sent_ = 0;
   std::uint64_t replies_sent_ = 0;
   // Pre-roll frontier (see SyntheticSource): Bernoullis for all *request*
   // cycles < rolled_until_ are drawn; next_fire_ is the earliest unserved

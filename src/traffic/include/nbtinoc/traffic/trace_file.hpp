@@ -6,7 +6,7 @@
 // per-node vector copies, no steady-state allocations), so per-worker memory
 // is O(1) in the record count.
 //
-// Layout (all integers little-endian, mirroring sim/snapshot.hpp):
+// Layout (all integers little-endian, written through sim::SnapshotWriter):
 //   bytes [0, 9)  magic "NBTITRACE"
 //   u32           format version (= 1; readers reject others outright)
 //   u32           node count N

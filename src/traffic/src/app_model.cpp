@@ -88,8 +88,7 @@ std::optional<noc::PacketRequest> AppTrafficSource::maybe_generate(sim::Cycle no
 sim::Cycle AppTrafficSource::next_event_cycle(sim::Cycle now) {
   // With both emission probabilities at zero no packet can ever appear.
   // The skipped transition draws are unobservable then: the chain's state
-  // only ever surfaces through emitted packets (in_burst() is a stepped
-  // test hook, not a simulation output).
+  // only ever surfaces through emitted packets.
   if (p_on_packet_ <= 0.0 && p_off_packet_ <= 0.0) return sim::kCycleNever;
   if (next_fire_ == sim::kCycleNever) roll_until(now + kLookaheadCycles);
   if (next_fire_ != sim::kCycleNever) return std::max(now, next_fire_);

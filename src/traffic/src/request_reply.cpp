@@ -61,7 +61,6 @@ std::optional<noc::PacketRequest> RequestReplySource::maybe_generate(sim::Cycle 
     // The reply becomes ready after the request's flight + service time;
     // flight time is approximated by the service delay knob.
     board_->post(server, ReplyBoard::PendingReply{fire + config_.service_delay, node_});
-    ++requests_sent_;
     return noc::PacketRequest{server, config_.request_length, config_.request_vnet};
   }
 

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "nbtinoc/noc/network.hpp"
+#include "nbtinoc/sim/snapshot.hpp"
 #include "nbtinoc/traffic/trace.hpp"
 
 #include <fcntl.h>
@@ -17,14 +18,6 @@
 namespace nbtinoc::traffic {
 
 namespace {
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int b = 0; b < 4; ++b) out.push_back(static_cast<char>((v >> (8 * b)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) out.push_back(static_cast<char>((v >> (8 * b)) & 0xff));
-}
 
 std::uint32_t get_u32(const unsigned char* p) {
   return p[0] | (p[1] << 8) | (p[2] << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
@@ -64,18 +57,16 @@ std::string serialize_trace(const Trace& trace, int node_count, std::string_view
     vnet_count = std::max(vnet_count, rec.vnet + 1);
   }
 
-  std::string out;
-  out.reserve(64 + digest.size() + static_cast<std::size_t>(node_count) * 8 +
-              records.size() * kTraceRecordBytes);
-  out.append(kTraceMagic);
-  put_u32(out, kTraceVersion);
-  put_u32(out, static_cast<std::uint32_t>(node_count));
-  put_u32(out, static_cast<std::uint32_t>(vnet_count));
-  put_u64(out, static_cast<std::uint64_t>(records.size()));
-  put_u32(out, static_cast<std::uint32_t>(digest.size()));
-  out.append(digest);
-  for (std::uint64_t c : counts) put_u64(out, c);
-  while (out.size() % 8 != 0) out.push_back('\0');
+  sim::SnapshotWriter w;
+  w.reserve(64 + digest.size() + counts.size() * 8 + records.size() * kTraceRecordBytes);
+  w.raw(kTraceMagic);
+  w.u32(kTraceVersion);
+  w.u32(static_cast<std::uint32_t>(node_count));
+  w.u32(static_cast<std::uint32_t>(vnet_count));
+  w.u64(static_cast<std::uint64_t>(records.size()));
+  w.str(digest);
+  for (std::uint64_t c : counts) w.u64(c);
+  while (w.data().size() % 8 != 0) w.u8(0);
 
   // Records grouped by node and sorted by cycle within each group — the
   // layout the reader validates. The sort is stable on (src, cycle), so the
@@ -89,14 +80,12 @@ std::string serialize_trace(const Trace& trace, int node_count, std::string_view
   });
   for (std::size_t i : order) {
     const TraceRecord& rec = records[i];
-    put_u64(out, static_cast<std::uint64_t>(rec.cycle));
-    put_u32(out, static_cast<std::uint32_t>(rec.dst));
-    out.push_back(static_cast<char>(rec.length & 0xff));
-    out.push_back(static_cast<char>((rec.length >> 8) & 0xff));
-    out.push_back(static_cast<char>(rec.vnet & 0xff));
-    out.push_back(static_cast<char>((rec.vnet >> 8) & 0xff));
+    w.u64(static_cast<std::uint64_t>(rec.cycle));
+    w.u32(static_cast<std::uint32_t>(rec.dst));
+    // The u16 length and u16 vnet fields, as one little-endian u32.
+    w.u32(static_cast<std::uint32_t>(rec.length) | static_cast<std::uint32_t>(rec.vnet) << 16);
   }
-  return out;
+  return w.take();
 }
 
 void TraceFile::parse(std::string_view origin) {

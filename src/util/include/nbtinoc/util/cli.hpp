@@ -18,6 +18,8 @@ class CliArgs {
 
   std::optional<std::string> get(const std::string& name) const;
   std::string get_or(const std::string& name, const std::string& fallback) const;
+  /// Numbers go through parse_int/parse_double (strings.hpp): a malformed
+  /// or missing value of a given flag throws std::invalid_argument.
   long long get_int_or(const std::string& name, long long fallback) const;
   double get_double_or(const std::string& name, double fallback) const;
   bool get_bool_or(const std::string& name, bool fallback) const;

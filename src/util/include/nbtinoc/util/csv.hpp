@@ -18,7 +18,6 @@ class CsvWriter {
 
   void write_comment(const std::string& text);
   void write_row(const std::vector<std::string>& cells);
-  void flush();
 
  private:
   std::ofstream out_;

@@ -20,7 +20,9 @@ Properties parse_properties(const std::string& text);
 /// Loads a properties file. Throws std::runtime_error if unreadable.
 Properties load_properties(const std::string& path);
 
-/// Typed getters with defaults.
+/// Typed getters with defaults. Numbers go through parse_int/parse_double
+/// (strings.hpp): a malformed value throws std::invalid_argument naming the
+/// key.
 std::string get_or(const Properties& props, const std::string& key, const std::string& fallback);
 long long get_int_or(const Properties& props, const std::string& key, long long fallback);
 double get_double_or(const Properties& props, const std::string& key, double fallback);

@@ -61,7 +61,7 @@ class RunningStats {
 };
 
 /// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins. Used for latency distributions in the performance benches.
+/// edge bins.
 class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t bins);

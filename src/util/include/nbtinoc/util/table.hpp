@@ -4,7 +4,6 @@
 // one place and aligned.
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -30,10 +29,7 @@ class Table {
   /// Renders as CSV (no padding, comma-escaped).
   std::string to_csv() const;
 
-  void print(std::ostream& os) const;
-
   const std::vector<std::string>& header() const { return headers_; }
-  const std::vector<std::vector<std::string>>& row_data() const { return rows_; }
 
  private:
   std::vector<std::size_t> column_widths() const;

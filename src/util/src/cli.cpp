@@ -1,6 +1,6 @@
 #include "nbtinoc/util/cli.hpp"
 
-#include <cstdlib>
+#include "nbtinoc/util/strings.hpp"
 
 namespace nbtinoc::util {
 
@@ -46,14 +46,12 @@ std::string CliArgs::get_or(const std::string& name, const std::string& fallback
 
 long long CliArgs::get_int_or(const std::string& name, long long fallback) const {
   const auto v = get(name);
-  if (!v || v->empty()) return fallback;
-  return std::strtoll(v->c_str(), nullptr, 10);
+  return v ? parse_int(*v, "--" + name) : fallback;
 }
 
 double CliArgs::get_double_or(const std::string& name, double fallback) const {
   const auto v = get(name);
-  if (!v || v->empty()) return fallback;
-  return std::strtod(v->c_str(), nullptr);
+  return v ? parse_double(*v, "--" + name) : fallback;
 }
 
 bool CliArgs::get_bool_or(const std::string& name, bool fallback) const {

@@ -35,7 +35,6 @@ void CsvWriter::write_row(const std::vector<std::string>& cells) {
   out_ << '\n';
 }
 
-void CsvWriter::flush() { out_.flush(); }
 
 std::vector<std::string> parse_csv_line(const std::string& line) {
   std::vector<std::string> cells;

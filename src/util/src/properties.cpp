@@ -1,6 +1,5 @@
 #include "nbtinoc/util/properties.hpp"
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -48,12 +47,12 @@ std::string get_or(const Properties& props, const std::string& key, const std::s
 
 long long get_int_or(const Properties& props, const std::string& key, long long fallback) {
   const auto it = props.find(key);
-  return it == props.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  return it == props.end() ? fallback : parse_int(it->second, key);
 }
 
 double get_double_or(const Properties& props, const std::string& key, double fallback) {
   const auto it = props.find(key);
-  return it == props.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  return it == props.end() ? fallback : parse_double(it->second, key);
 }
 
 bool get_bool_or(const Properties& props, const std::string& key, bool fallback) {

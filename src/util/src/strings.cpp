@@ -1,6 +1,9 @@
 #include "nbtinoc/util/strings.hpp"
 
 #include <cctype>
+#include <cerrno>
+#include <cstdlib>
+#include <stdexcept>
 
 namespace nbtinoc::util {
 
@@ -44,6 +47,37 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
     if (i + 1 < parts.size()) out += sep;
   }
   return out;
+}
+
+namespace {
+
+/// Throws unless strtoll/strtod consumed the whole of a non-empty `text`
+/// and stayed in range.
+void check_parsed(const std::string& text, const char* end, std::string_view what,
+                  const char* kind) {
+  const auto fail = [&](const std::string& why) {
+    return std::invalid_argument(std::string(what) + ": '" + text + "' " + why);
+  };
+  if (end == text.c_str() || *end != '\0') throw fail(std::string("is not ") + kind);
+  if (errno == ERANGE) throw fail("is out of range");
+}
+
+}  // namespace
+
+long long parse_int(const std::string& text, std::string_view what) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  check_parsed(text, end, what, "an integer");
+  return value;
+}
+
+double parse_double(const std::string& text, std::string_view what) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  check_parsed(text, end, what, "a number");
+  return value;
 }
 
 }  // namespace nbtinoc::util

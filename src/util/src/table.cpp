@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -115,7 +114,6 @@ std::string Table::to_csv() const {
   return out;
 }
 
-void Table::print(std::ostream& os) const { os << to_markdown(); }
 
 std::string format_double(double value, int decimals) {
   char buf[64];

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "nbtinoc/core/experiment.hpp"
+#include "nbtinoc/traffic/synthetic.hpp"
 
 namespace nbtinoc::core {
 namespace {
@@ -258,6 +261,47 @@ TEST(PolicyGateController, PostCycleRefreshesSensorsFromTrackers) {
   net.run(2);
   ctrl.post_cycle(net.clock().now());
   EXPECT_EQ(ctrl.most_degraded(key), 1);
+}
+
+// The horizon is the post-cycle fence, which must stay the earliest sensor
+// epoch across ports at every cycle, or a skipping run would land on the
+// wrong cycle. With an injector installed it is pinned to now.
+TEST(PolicyGateController, HorizonIsTheEarliestSensorEpoch) {
+  const sim::Scenario s = sim::Scenario::synthetic(4, 2, 0.005);
+  noc::Network net(noc_config_of(s));
+  const nbti::NbtiModel m = calibrated_model_of(s);
+  PolicyConfig cfg;
+  cfg.kind = PolicyKind::kSensorWise;
+  cfg.sensor.epoch_cycles = 100;
+  PolicyGateController ctrl(net, cfg, m, operating_point_of(s), pv_config_of(s), s.pv_seed());
+  ctrl.attach();
+  traffic::install_synthetic_traffic(net, traffic::PatternKind::kUniform, s.injection_rate,
+                                     s.traffic_seed());
+  const auto earliest_epoch = [&] {
+    sim::Cycle earliest = sim::kCycleNever;
+    for (noc::NodeId id = 0; id < net.num_routers(); ++id)
+      for (int p = 0; p < noc::kNumDirs; ++p)
+        if (net.router(id).has_input(static_cast<noc::Dir>(p)))
+          earliest = std::min(
+              earliest, ctrl.sensors({id, static_cast<noc::Dir>(p)}).next_refresh_cycle());
+    return earliest;
+  };
+  for (int i = 0; i < 1'000; ++i) {
+    const sim::Cycle now = net.clock().now();
+    ASSERT_EQ(ctrl.next_event_cycle(now), std::max(earliest_epoch(), now)) << "cycle " << now;
+    net.run(1);
+  }
+  EXPECT_GT(earliest_epoch(), 900u);  // the sensors did refresh along the way
+
+  sim::FaultInjector injector(sim::FaultPlan::uniform(0.01), s.fault_seed());
+  injector.bind_stats(&net.stats());
+  net.set_fault_injector(&injector);
+  for (int i = 0; i < 10; ++i) {
+    const sim::Cycle now = net.clock().now();
+    EXPECT_EQ(ctrl.next_event_cycle(now), now);
+    net.run(1);
+  }
+  net.set_fault_injector(nullptr);
 }
 
 }  // namespace

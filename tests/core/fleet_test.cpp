@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "nbtinoc/sim/snapshot.hpp"
+
 #ifndef NBTINOC_TEST_DATA_DIR
 #error "NBTINOC_TEST_DATA_DIR must point at the tests/ source directory"
 #endif
@@ -120,16 +122,30 @@ TEST(Fleet, PartialsRoundTripExactly) {
 }
 
 TEST(Fleet, ParserRejectsMalformedPartials) {
-  EXPECT_THROW(parse_fleet_shard(""), std::runtime_error);
-  EXPECT_THROW(parse_fleet_shard("not a shard\n"), std::runtime_error);
+  // A partial is a snapshot frame: every defect is a SnapshotError whose
+  // message names it.
+  const auto expect_rejected = [](const std::string& bytes, const char* what, const char* why) {
+    try {
+      parse_fleet_shard(bytes);
+      ADD_FAILURE() << why << ": accepted";
+    } catch (const sim::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << why << ": " << e.what();
+    }
+  };
   const auto spec = small_spec();
   const std::string good = serialize_fleet_shard(run_fleet_shard(spec, 0, 2, 1));
-  // Truncation (drop the END line) is detected.
-  EXPECT_THROW(parse_fleet_shard(good.substr(0, good.size() - 4)), std::runtime_error);
-  // A corrupted outcome line names itself in the error.
-  std::string corrupt = good;
-  corrupt.replace(corrupt.find("\nO "), 3, "\nX ");
-  EXPECT_THROW(parse_fleet_shard(corrupt), std::runtime_error);
+  ASSERT_EQ(good.substr(0, 8), "NBTISNAP");
+  expect_rejected("", "not a snapshot file", "empty");
+  expect_rejected("not a shard\n", "not a snapshot file", "foreign");
+  expect_rejected("NBTIFLEET v1\ndigest x\n", "not a snapshot file", "old text partial");
+  // Truncation is detected inside the frame and inside the outcomes.
+  expect_rejected(good.substr(0, 14), "truncated", "truncated frame");
+  expect_rejected(good.substr(0, good.size() - 4), "truncated", "truncated outcome");
+  // The u32 version follows the 8-byte magic.
+  std::string other_version = good;
+  other_version[8] = 2;
+  expect_rejected(other_version, "version mismatch", "bad version");
+  expect_rejected(good + "x", "trailing byte", "trailing byte");
 }
 
 TEST(Fleet, MergeRejectsForeignIncompleteAndOverlappingShards) {

@@ -185,6 +185,41 @@ TEST(Network, SaturationStillConservesFlits) {
   EXPECT_EQ(net.stats().counter("noc.flits_injected"), net.stats().counter("noc.flits_ejected"));
 }
 
+// A router kill that cuts a terminal off: the packets queued for it and the
+// ones offered to it afterwards count as fault.unroutable_packets, and none
+// of them is injected, under either scheduler.
+TEST(Network, RouterKillCountsUnroutablePackets) {
+  for (const SchedulerMode mode : {SchedulerMode::kStepped, SchedulerMode::kActiveSet}) {
+    SCOPED_TRACE(mode == SchedulerMode::kStepped ? "stepped" : "active set");
+    Network net(mesh(3, 3));
+    sim::StructuralFault kill;
+    kill.cycle = 40;
+    kill.router = 4;  // the center router and its terminal
+    sim::FaultPlan plan;
+    plan.structural.push_back(kill);
+    sim::FaultInjector injector(plan, 1);
+    injector.bind_stats(&net.stats());
+    net.set_fault_injector(&injector);
+    // One 4-flit packet to terminal 4 every cycle is more than node 0 can
+    // inject, so its queue holds some at the kill.
+    std::vector<std::tuple<sim::Cycle, NodeId, int>> script;
+    for (sim::Cycle c = 0; c < 80; ++c) script.emplace_back(c, 4, 4);
+    net.set_traffic_source(0, std::make_unique<ScriptedSource>(std::move(script)));
+    net.set_scheduler_mode(mode);
+    net.run(40);
+    const std::uint64_t queued = net.ni(0).queue_depth();
+    ASSERT_GT(queued, 0u);
+    EXPECT_EQ(net.stats().counter("fault.unroutable_packets"), 0u);
+    const std::uint64_t injected = net.ni(0).flits_injected();
+    for (int i = 0; i < 40; ++i) {
+      net.run(1);
+      ASSERT_EQ(net.ni(0).flits_injected(), injected) << "cycle " << net.clock().now();
+    }
+    EXPECT_EQ(net.ni(0).queue_depth(), 0u);
+    EXPECT_EQ(net.stats().counter("fault.unroutable_packets"), queued + 40);
+  }
+}
+
 TEST(Network, LongPacketsWormholeThroughShallowBuffers) {
   // packet length 9 > buffer depth 2: wormhole must stream without deadlock.
   Network net(mesh(2, 2, 2, 2, 9));

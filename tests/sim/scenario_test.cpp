@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "nbtinoc/util/properties.hpp"
+
 namespace nbtinoc::sim {
 namespace {
 
@@ -116,6 +118,14 @@ TEST(ScenarioFromProperties, RejectsUnknownKeyAndBadValues) {
   EXPECT_THROW(scenario_from_properties({{"mesh_widht", "4"}}), std::invalid_argument);
   EXPECT_THROW(scenario_from_properties({{"technology_nm", "28"}}), std::invalid_argument);
   EXPECT_THROW(scenario_from_properties({{"clock_ghz", "0"}}), std::invalid_argument);
+  // Scenario-file numbers parse whole or not at all: read as a prefix,
+  // "1e6" would measure one cycle and "-5" warmup cycles would wrap to ~2^64.
+  for (const char* text : {"measure_cycles = 1e6\n", "injection_rate = 0.2x\n",
+                           "mesh_width = 4x4\n", "warmup_cycles = -5\n",
+                           "measure_cycles = -1\n", "measure_cycles =\n",
+                           "num_vcs = 4294967300\n"})
+    EXPECT_THROW(scenario_from_properties(util::parse_properties(text)), std::invalid_argument)
+        << text;
 }
 
 TEST(Scenario, FaultSeedStableAndDistinctFromOtherStreams) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace nbtinoc::util {
 namespace {
 
@@ -38,6 +40,21 @@ TEST(CliArgs, MissingUsesFallback) {
   EXPECT_EQ(args.get_int_or("n", 7), 7);
   EXPECT_FALSE(args.get_bool_or("x", false));
   EXPECT_FALSE(args.get("anything").has_value());
+}
+
+TEST(CliArgs, MalformedNumbersThrow) {
+  EXPECT_THROW(make({"prog", "--cycles", "2e5"}).get_int_or("cycles", 0), std::invalid_argument);
+  EXPECT_THROW(make({"prog", "--rate", "0.1.5"}).get_double_or("rate", 0.0),
+               std::invalid_argument);
+  // A numeric flag given without its value is an error, not the fallback.
+  EXPECT_THROW(make({"prog", "--cycles", "--vcs", "4"}).get_int_or("cycles", 7),
+               std::invalid_argument);
+  try {
+    make({"prog", "--cycles=2e5"}).get_int_or("cycles", 0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "--cycles: '2e5' is not an integer");
+  }
 }
 
 TEST(CliArgs, BoolSpellings) {

@@ -40,6 +40,11 @@ TEST(Properties, TypedGetters) {
   EXPECT_EQ(get_or(props, "name", ""), "mesh");
   EXPECT_EQ(get_int_or(props, "missing", 7), 7);
   EXPECT_FALSE(get_bool_or(props, "missing", false));
+  // Numbers are whole values or an error naming the key, never a prefix.
+  const auto bad = parse_properties("n = 4x4\nx = 0.2x\nempty =\n");
+  EXPECT_THROW(get_int_or(bad, "n", 0), std::invalid_argument);
+  EXPECT_THROW(get_double_or(bad, "x", 0.0), std::invalid_argument);
+  EXPECT_THROW(get_int_or(bad, "empty", 0), std::invalid_argument);
 }
 
 TEST(Properties, FileRoundTrip) {
