@@ -12,7 +12,7 @@ using namespace nbtinoc;
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   const bench::BenchOptions options = bench::BenchOptions::from_cli(args);
-  const int node = static_cast<int>(args.get_int_or("node", 45));
+  const int node = args.get_int_as<int>("node", 45);
 
   std::cout << "==========================================================================\n"
             << "Section III-D — coarse-grain sensor-wise area overhead (ORION-style model)\n"

@@ -23,7 +23,7 @@ using namespace nbtinoc;
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   const bench::BenchOptions options = bench::BenchOptions::from_cli(args);
-  const int epochs = static_cast<int>(args.get_int_or("epochs", 12));
+  const int epochs = args.get_int_as<int>("epochs", 12);
   const double years_per_epoch = args.get_double_or("years-per-epoch", 0.25);
 
   sim::Scenario s = sim::Scenario::synthetic(4, 4, 0.2);

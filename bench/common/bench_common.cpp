@@ -8,10 +8,10 @@ namespace nbtinoc::bench {
 BenchOptions BenchOptions::from_cli(const util::CliArgs& args) {
   BenchOptions opt;
   opt.full = args.get_bool_or("full", false);
-  opt.measure = static_cast<sim::Cycle>(args.get_int_or("cycles", static_cast<long long>(opt.measure)));
+  opt.measure = args.get_int_as<sim::Cycle>("cycles", opt.measure);
   opt.warmup = opt.measure / 5;
-  opt.iterations = static_cast<int>(args.get_int_or("iterations", opt.iterations));
-  opt.workers = static_cast<unsigned>(args.get_int_or("workers", 0));
+  opt.iterations = args.get_int_as<int>("iterations", opt.iterations);
+  opt.workers = args.get_int_as<unsigned>("workers", 0);
   if (const auto csv = args.get("csv")) opt.csv_path = *csv;
   return opt;
 }

@@ -14,8 +14,8 @@ using namespace nbtinoc;
 
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
-  const int cores = static_cast<int>(args.get_int_or("cores", 16));
-  const int vcs = static_cast<int>(args.get_int_or("vcs", 4));
+  const int cores = args.get_int_as<int>("cores", 16);
+  const int vcs = args.get_int_as<int>("vcs", 4);
   const double rate = args.get_double_or("rate", 0.1);
   const double budget_mv = args.get_double_or("budget-mv", 30.0);
 

@@ -70,7 +70,7 @@ class DutyBudgetController final : public noc::IGateController {
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   const double budget = args.get_double_or("budget", 20.0);
-  const auto cycles = static_cast<sim::Cycle>(args.get_int_or("cycles", 120'000));
+  const auto cycles = args.get_int_as<sim::Cycle>("cycles", 120'000);
 
   sim::Scenario s = sim::Scenario::synthetic(4, 4, 0.2);
   s.warmup_cycles = cycles / 5;

@@ -61,9 +61,9 @@ int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   const auto policies = parse_policies(args.get_or("policy", "sensor-wise"));
   const auto pattern = traffic::parse_pattern(args.get_or("pattern", "hotspot"));
-  const int cores = static_cast<int>(args.get_int_or("cores", 16));
+  const int cores = args.get_int_as<int>("cores", 16);
   const double rate = args.get_double_or("rate", 0.2);
-  const auto cycles = static_cast<sim::Cycle>(args.get_int_or("cycles", 120'000));
+  const auto cycles = args.get_int_as<sim::Cycle>("cycles", 120'000);
 
   int width = 1;
   while (width * width < cores) ++width;
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   std::cout << s.describe() << "  pattern         : " << to_string(pattern) << "\n\n";
 
   core::SweepOptions sweep_options;
-  sweep_options.workers = static_cast<unsigned>(args.get_int_or("workers", 0));
+  sweep_options.workers = args.get_int_as<unsigned>("workers", 0);
   core::SweepRunner sweep(sweep_options);
   sweep.add_grid({s}, policies, pattern);
   const core::SweepResult results = sweep.run();

@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   const double fault_rate = args.get_double_or("rate", 0.02);
   const double inj = args.get_double_or("inj", 0.2);
-  const auto cycles = static_cast<sim::Cycle>(args.get_int_or("cycles", 200'000));
-  const auto salt = static_cast<std::uint64_t>(args.get_int_or("seed-salt", 0));
+  const auto cycles = args.get_int_as<sim::Cycle>("cycles", 200'000);
+  const auto salt = args.get_int_as<std::uint64_t>("seed-salt", 0);
 
   sim::Scenario scenario = sim::Scenario::synthetic(4, 4, inj);
   scenario.warmup_cycles = cycles / 5;

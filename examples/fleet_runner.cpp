@@ -48,11 +48,11 @@ int main(int argc, char** argv) {
 
   core::FleetSpec spec;
   spec.scenario = sim::Scenario::synthetic(
-      static_cast<int>(args.get_int_or("mesh", 4)), static_cast<int>(args.get_int_or("vcs", 4)),
+      args.get_int_as<int>("mesh", 4), args.get_int_as<int>("vcs", 4),
       args.get_double_or("rate", 0.2));
-  spec.scenario.warmup_cycles = static_cast<sim::Cycle>(args.get_int_or("warmup", 2'000));
-  spec.scenario.measure_cycles = static_cast<sim::Cycle>(args.get_int_or("measure", 20'000));
-  spec.chips = static_cast<int>(args.get_int_or("chips", 64));
+  spec.scenario.warmup_cycles = args.get_int_as<sim::Cycle>("warmup", 2'000);
+  spec.scenario.measure_cycles = args.get_int_as<sim::Cycle>("measure", 20'000);
+  spec.chips = args.get_int_as<int>("chips", 64);
   spec.dvth_budget_v = args.get_double_or("budget-mv", 30.0) * 1e-3;
   spec.failure_fraction = args.get_double_or("fraction", 0.01);
   spec.max_years = args.get_double_or("max-years", 30.0);
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     spec.policies.push_back(core::parse_policy(name));
 
   const std::string out_stem = args.get_or("out", "fleet");
-  const auto workers = static_cast<unsigned>(args.get_int_or("workers", 0));
+  const auto workers = args.get_int_as<unsigned>("workers", 0);
 
   try {
     if (const auto merge_list = args.get("merge")) {

@@ -18,8 +18,8 @@ using namespace nbtinoc;
 
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
-  const auto cycles = static_cast<sim::Cycle>(args.get_int_or("cycles", 2'000));
-  const auto window = static_cast<std::size_t>(args.get_int_or("window", 120));
+  const auto cycles = args.get_int_as<sim::Cycle>("cycles", 2'000);
+  const auto window = args.get_int_as<std::size_t>("window", 120);
   const double rate = args.get_double_or("rate", 0.2);
 
   sim::Scenario s = sim::Scenario::synthetic(2, 4, rate);

@@ -15,17 +15,17 @@ using namespace nbtinoc;
 
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
-  const int cores = static_cast<int>(args.get_int_or("cores", 16));
-  const int vcs = static_cast<int>(args.get_int_or("vcs", 4));
+  const int cores = args.get_int_as<int>("cores", 16);
+  const int vcs = args.get_int_as<int>("vcs", 4);
   const double rate = args.get_double_or("rate", 0.2);
-  const auto cycles = static_cast<sim::Cycle>(args.get_int_or("cycles", 300'000));
+  const auto cycles = args.get_int_as<sim::Cycle>("cycles", 300'000);
 
   int width = 1;
   while (width * width < cores) ++width;
   sim::Scenario scenario = sim::Scenario::synthetic(width, vcs, rate);
   scenario.topology = args.get_or("topology", scenario.topology);
-  scenario.concentration = static_cast<int>(
-      args.get_int_or("concentration", scenario.topology == "cmesh" ? 2 : 1));
+  scenario.concentration =
+      args.get_int_as<int>("concentration", scenario.topology == "cmesh" ? 2 : 1);
   scenario.warmup_cycles = cycles / 5;
   scenario.measure_cycles = cycles - scenario.warmup_cycles;
   try {

@@ -17,9 +17,9 @@ using namespace nbtinoc;
 
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
-  const int cores = static_cast<int>(args.get_int_or("cores", 4));
-  const int vcs = static_cast<int>(args.get_int_or("vcs", 2));
-  const auto cycles = static_cast<sim::Cycle>(args.get_int_or("cycles", 150'000));
+  const int cores = args.get_int_as<int>("cores", 4);
+  const int vcs = args.get_int_as<int>("vcs", 2);
+  const auto cycles = args.get_int_as<sim::Cycle>("cycles", 150'000);
 
   int width = 1;
   while (width * width < cores) ++width;

@@ -84,8 +84,7 @@ int main(int argc, char** argv) {
   // the run.
   if (args.has("buffer-org") || args.has("shared-reserve")) {
     if (const auto org = args.get("buffer-org")) scenario.buffer_org = *org;
-    scenario.shared_reserve =
-        static_cast<int>(args.get_int_or("shared-reserve", scenario.shared_reserve));
+    scenario.shared_reserve = args.get_int_as<int>("shared-reserve", scenario.shared_reserve);
     try {
       scenario.validate();
     } catch (const std::exception& e) {
@@ -171,7 +170,7 @@ int main(int argc, char** argv) {
                 << scenario.warmup_cycles + scenario.measure_cycles << " for this scenario)\n";
       return 2;
     }
-    ropt.snapshot_at = static_cast<sim::Cycle>(args.get_int_or("at", 0));
+    ropt.snapshot_at = args.get_int_as<sim::Cycle>("at", 0);
     ropt.snapshot_out = &snapshot_bytes;
   }
   if (resume_path) {

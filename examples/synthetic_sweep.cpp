@@ -16,9 +16,9 @@ using namespace nbtinoc;
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   const auto policy = core::parse_policy(args.get_or("policy", "sensor-wise"));
-  const int cores = static_cast<int>(args.get_int_or("cores", 16));
-  const int vcs = static_cast<int>(args.get_int_or("vcs", 4));
-  const auto cycles = static_cast<sim::Cycle>(args.get_int_or("cycles", 150'000));
+  const int cores = args.get_int_as<int>("cores", 16);
+  const int vcs = args.get_int_as<int>("vcs", 4);
+  const auto cycles = args.get_int_as<sim::Cycle>("cycles", 150'000);
   const auto pattern_list = util::split(args.get_or("patterns", "uniform,transpose,hotspot"), ',');
 
   int width = 1;

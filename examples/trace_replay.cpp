@@ -22,8 +22,8 @@ using namespace nbtinoc;
 
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
-  const int cores = static_cast<int>(args.get_int_or("cores", 4));
-  const auto cycles = static_cast<sim::Cycle>(args.get_int_or("cycles", 80'000));
+  const int cores = args.get_int_as<int>("cores", 4);
+  const auto cycles = args.get_int_as<sim::Cycle>("cycles", 80'000);
   const std::string trace_path = args.get_or("trace", "/tmp/nbtinoc_trace.nbtitrace");
 
   int width = 1;

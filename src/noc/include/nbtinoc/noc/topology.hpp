@@ -156,10 +156,12 @@ class Topology {
   virtual int hop_distance(NodeId src_terminal, NodeId dst_terminal) const = 0;
 
   /// Die position of a router, normalized to [0,1] per axis — the process-
-  /// variation gradient coordinates (matches the mesh's x/(width-1) on
-  /// non-concentrated topologies).
-  virtual double norm_x(NodeId router) const = 0;
-  virtual double norm_y(NodeId router) const = 0;
+  /// variation gradient coordinates. Every fabric lays its routers out
+  /// row-major on the (width/concentration) x height router grid (the ring
+  /// included: only its links differ), so this is x/(columns-1),
+  /// y/(height-1) there, and 0 on an axis with one router.
+  double norm_x(NodeId router) const;
+  double norm_y(NodeId router) const;
 
  protected:
   explicit Topology(const NocConfig& config);
@@ -191,6 +193,7 @@ class Topology {
   int num_terminals_ = 0;
   int ports_per_router_ = 0;
   int concentration_ = 1;
+  int router_width_ = 1;  ///< router-grid columns: width / concentration
 
  private:
   /// Rebuilds route_table_/inject_class_ with up*/down* routing over the
@@ -210,23 +213,26 @@ class Topology {
   std::vector<NodeId> terminal_of_slot_;      ///< routers x concentration
 };
 
-/// The paper's width x height grid; XY/YX dimension-order routing. The
-/// route table reproduces routing.hpp's route_compute() arithmetic exactly
-/// (asserted by TopologyTest.MeshTableMatchesArithmetic).
+/// The paper's width x height grid; XY/YX dimension-order routing. With
+/// concentration c > 1 (cmesh) the routers form a (width/c) x height grid
+/// and carry one local port per tile: terminal (tx, ty) hangs off router
+/// (tx / c, ty) at slot tx % c. At c = 1 the route table reproduces
+/// routing.hpp's route_compute() exactly (asserted by
+/// TopologyTest.MeshTableMatchesArithmetic).
 class Mesh2D final : public Topology {
  public:
   explicit Mesh2D(const NocConfig& config);
+  /// Manhattan distance on the router grid.
   int hop_distance(NodeId src_terminal, NodeId dst_terminal) const override;
-  double norm_x(NodeId router) const override;
-  double norm_y(NodeId router) const override;
 
  protected:
   NodeId compute_neighbor(NodeId router, Dir d) const override;
   Dir compute_port(NodeId router, NodeId dst_terminal) const override;
-  /// Escape/adaptive split under the turn-model modes: packets whose source
-  /// and destination share a row or column ride the escape class (their XY
-  /// path is a straight line, so the alignment predicate is invariant along
-  /// it); everyone else gets the adaptive class. 0 under plain DOR.
+  /// Escape/adaptive split under the turn-model modes (mesh only, per
+  /// NocConfig::validate): packets whose source and destination share a
+  /// row or column ride the escape class (their XY path is a straight
+  /// line, so the alignment predicate is invariant along it); everyone else
+  /// gets the adaptive class. 0 under plain DOR.
   int compute_vc_class(NodeId router, NodeId dst_terminal, Dir link_dir) const override;
 };
 
@@ -236,8 +242,6 @@ class Torus2D final : public Topology {
  public:
   explicit Torus2D(const NocConfig& config);
   int hop_distance(NodeId src_terminal, NodeId dst_terminal) const override;
-  double norm_x(NodeId router) const override;
-  double norm_y(NodeId router) const override;
 
  protected:
   NodeId compute_neighbor(NodeId router, Dir d) const override;
@@ -252,31 +256,11 @@ class Ring final : public Topology {
  public:
   explicit Ring(const NocConfig& config);
   int hop_distance(NodeId src_terminal, NodeId dst_terminal) const override;
-  double norm_x(NodeId router) const override;
-  double norm_y(NodeId router) const override;
 
  protected:
   NodeId compute_neighbor(NodeId router, Dir d) const override;
   Dir compute_port(NodeId router, NodeId dst_terminal) const override;
   int compute_vc_class(NodeId router, NodeId dst_terminal, Dir link_dir) const override;
-};
-
-/// `concentration` tiles of each row share a router: routers form a
-/// (width/concentration) x height mesh and carry one local port per tile.
-/// Terminal (tx, ty) hangs off router (tx / c, ty) at slot tx % c.
-class ConcentratedMesh final : public Topology {
- public:
-  explicit ConcentratedMesh(const NocConfig& config);
-  int hop_distance(NodeId src_terminal, NodeId dst_terminal) const override;
-  double norm_x(NodeId router) const override;
-  double norm_y(NodeId router) const override;
-
- protected:
-  NodeId compute_neighbor(NodeId router, Dir d) const override;
-  Dir compute_port(NodeId router, NodeId dst_terminal) const override;
-
- private:
-  int router_width_ = 1;  ///< width / concentration
 };
 
 }  // namespace nbtinoc::noc

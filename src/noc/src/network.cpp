@@ -679,6 +679,10 @@ void Network::purge_after_kill(sim::Cycle now) {
   const auto down_ok = [&](NodeId w, NodeId dst_t) {
     return dr->in_down_region(w, topo_->router_of(dst_t));
   };
+  // An input port is dead with its router, or with its cardinal link.
+  const auto input_dead = [&](NodeId id, Dir port) {
+    return !topo_->router_alive(id) || (!is_local(port) && !topo_->link_alive(id, port));
+  };
 
   // In-flight flits on router-router links.
   for (NodeId u = 0; u < n; ++u) {
@@ -723,12 +727,10 @@ void Network::purge_after_kill(sim::Cycle now) {
   // committed move).
   for (NodeId id = 0; id < n; ++id) {
     Router& r = router(id);
-    const bool router_dead_now = !topo_->router_alive(id);
     for (int p = 0; p < r.num_ports(); ++p) {
       const Dir port = static_cast<Dir>(p);
       if (!r.has_input(port)) continue;
-      const bool port_dead =
-          router_dead_now || (!is_local(port) && !topo_->link_alive(id, port));
+      const bool port_dead = input_dead(id, port);
       InputUnit& iu = r.input(port);
       for (int v = 0; v < total_vcs; ++v) {
         const VcBuffer& vc = iu.vc(v);
@@ -779,12 +781,10 @@ void Network::purge_after_kill(sim::Cycle now) {
         link->remove_if([&](const Flit& f) { return doomed.count(f.packet) != 0; }));
   for (NodeId id = 0; id < n; ++id) {
     Router& r = router(id);
-    const bool router_dead_now = !topo_->router_alive(id);
     for (int p = 0; p < r.num_ports(); ++p) {
       const Dir port = static_cast<Dir>(p);
       if (!r.has_input(port)) continue;
-      const bool port_dead =
-          router_dead_now || (!is_local(port) && !topo_->link_alive(id, port));
+      const bool port_dead = input_dead(id, port);
       InputUnit& iu = r.input(port);
       for (int v = 0; v < total_vcs; ++v)
         if (iu.vc(v).is_active() && (port_dead || doomed.count(iu.vc(v).packet()) != 0))
@@ -815,10 +815,7 @@ void Network::purge_after_kill(sim::Cycle now) {
     if (router_dead_now && !r.dead()) r.mark_dead();
     for (int p = 0; p < r.num_ports(); ++p) {
       const Dir port = static_cast<Dir>(p);
-      if (!r.has_input(port)) continue;
-      const bool port_dead =
-          router_dead_now || (!is_local(port) && !topo_->link_alive(id, port));
-      if (!port_dead) continue;
+      if (!r.has_input(port) || !input_dead(id, port)) continue;
       r.mark_input_port_dead(port);
       if (Channel<Credit>* c = r.credit_out_link_mut(port)) c->clear();
     }

@@ -41,14 +41,11 @@ int hop_distance(NodeId a, NodeId b, int width) {
   return std::abs(ca.x - cb.x) + std::abs(ca.y - cb.y);
 }
 
-Dir route_compute(NodeId current, NodeId dst, const NocConfig& config) {
-  const Coord c = coord_of(current, config.width);
-  const Coord d = coord_of(dst, config.width);
+Dir route_compute(NodeId current, NodeId dst, int width, RoutingAlgo routing) {
+  const Coord c = coord_of(current, width);
+  const Coord d = coord_of(dst, width);
   if (c == d) return Dir::Local;
-  // kYX resolves Y first; everything else (kXY and the adaptive modes,
-  // whose escape class is minimal XY) resolves X first.
-  const bool x_first = config.routing != RoutingAlgo::kYX;
-  if (x_first) {
+  if (routing != RoutingAlgo::kYX) {
     if (d.x > c.x) return Dir::East;
     if (d.x < c.x) return Dir::West;
     return d.y > c.y ? Dir::South : Dir::North;

@@ -17,6 +17,7 @@
 
 #include "nbtinoc/noc/traffic_source.hpp"
 #include "nbtinoc/traffic/patterns.hpp"
+#include "nbtinoc/traffic/preroll.hpp"
 #include "nbtinoc/util/rng.hpp"
 
 namespace nbtinoc::traffic {
@@ -41,10 +42,8 @@ class AppTrafficSource final : public noc::ITrafficSource {
 
   std::optional<noc::PacketRequest> maybe_generate(sim::Cycle now) override;
 
-  /// Next-fire query for the active-set scheduler. Pre-rolls the Markov
-  /// chain (transition draw, then emission draw, per cycle — the exact
-  /// stepped order) up to a bounded look-ahead, deferring the destination
-  /// draws to consumption time so the RNG stream matches stepped execution.
+  /// Next-fire query for the active-set scheduler (PrerollFrontier): each
+  /// rolled cycle draws the phase transition, then the emission.
   sim::Cycle next_event_cycle(sim::Cycle now) override;
 
   const AppProfile& profile() const { return profile_; }
@@ -55,14 +54,12 @@ class AppTrafficSource final : public noc::ITrafficSource {
   void save(sim::SnapshotWriter& w) const override {
     sim::save_rng(w, rng_);
     w.b(on_);
-    w.u64(static_cast<std::uint64_t>(rolled_until_));
-    w.u64(static_cast<std::uint64_t>(next_fire_));
+    frontier_.save(w);
   }
   void load(sim::SnapshotReader& r) override {
     sim::load_rng(r, rng_);
     on_ = r.b();
-    rolled_until_ = static_cast<sim::Cycle>(r.u64());
-    next_fire_ = static_cast<sim::Cycle>(r.u64());
+    frontier_.load(r);
   }
 
  private:
@@ -76,17 +73,12 @@ class AppTrafficSource final : public noc::ITrafficSource {
   noc::NodeId hotspot_;
   util::Xoshiro256 rng_;
 
-  bool on_ = false;
+  bool on_ = false;  ///< Markov state as of the frontier, which may run ahead of consumption
   double p_on_packet_ = 0.0;   ///< per-cycle packet probability while on
   double p_off_packet_ = 0.0;  ///< residual probability while off
   double p_exit_on_ = 0.0;     ///< on -> off transition probability
   double p_exit_off_ = 0.0;    ///< off -> on transition probability
-
-  // Pre-roll frontier (see SyntheticSource). on_ above is the Markov state
-  // as of cycle rolled_until_, which may run ahead of the last consumed
-  // cycle.
-  sim::Cycle rolled_until_ = 0;
-  sim::Cycle next_fire_ = sim::kCycleNever;
+  PrerollFrontier frontier_;
 };
 
 }  // namespace nbtinoc::traffic

@@ -15,11 +15,11 @@
 // a non-homogeneous per-cycle emission process over it: packet count at
 // cycle c is floor(lambda_c) + Bernoulli(frac(lambda_c)). Emission draws
 // are pre-rolled in cycle order with destination draws deferred to
-// consumption (the SyntheticSource discipline), so next_event_cycle() is
-// safe for the active-set scheduler and the RNG stream is bit-identical
-// across scheduler modes. Multi-packet cycles hand their
-// whole batch to the NI through generate_burst(); a batch larger than
-// noc::kMaxGenerateBurst slips, deterministically, to the following cycles.
+// consumption (PrerollFrontier), so next_event_cycle() is safe for the
+// active-set scheduler and the RNG stream is bit-identical across
+// scheduler modes. Multi-packet cycles hand their whole batch to the NI
+// through generate_burst(); a batch larger than noc::kMaxGenerateBurst
+// slips, deterministically, to the following cycles.
 //
 // A datacenter run is capturable through the ordinary trace hooks
 // (RunnerOptions::capture_trace) into the NBTITRACE format — the intended
@@ -33,6 +33,7 @@
 #include "nbtinoc/noc/network.hpp"
 #include "nbtinoc/noc/traffic_source.hpp"
 #include "nbtinoc/traffic/patterns.hpp"
+#include "nbtinoc/traffic/preroll.hpp"
 #include "nbtinoc/util/rng.hpp"
 
 namespace nbtinoc::traffic {
@@ -76,15 +77,13 @@ class DatacenterAggregateSource final : public noc::ITrafficSource {
 
   void save(sim::SnapshotWriter& w) const override {
     sim::save_rng(w, rng_);
-    w.u64(static_cast<std::uint64_t>(rolled_until_));
-    w.u64(static_cast<std::uint64_t>(next_fire_));
+    frontier_.save(w);
     w.u64(static_cast<std::uint64_t>(next_count_));
     w.u64(static_cast<std::uint64_t>(pending_));
   }
   void load(sim::SnapshotReader& r) override {
     sim::load_rng(r, rng_);
-    rolled_until_ = static_cast<sim::Cycle>(r.u64());
-    next_fire_ = static_cast<sim::Cycle>(r.u64());
+    frontier_.load(r);
     next_count_ = static_cast<std::size_t>(r.u64());
     pending_ = static_cast<std::size_t>(r.u64());
     profile_pos_ = sim::kCycleNever;  // force a segment-cursor re-seek
@@ -114,12 +113,10 @@ class DatacenterAggregateSource final : public noc::ITrafficSource {
   sim::Cycle profile_pos_ = sim::kCycleNever;  ///< last looked-up wrapped position
   double max_lambda_ = 0.0;            ///< peak packets/cycle over the profile
 
-  // Pre-roll frontier (SyntheticSource discipline): every cycle below
-  // rolled_until_ has drawn its emission; next_fire_/next_count_ is the
-  // earliest unconsumed nonzero batch; pending_ holds packets whose cycle
-  // has arrived but which the NI has not pulled yet (burst slip).
-  sim::Cycle rolled_until_ = 0;
-  sim::Cycle next_fire_ = sim::kCycleNever;
+  // The frontier's fire is the earliest unconsumed nonzero batch, of
+  // next_count_ packets; pending_ holds packets whose cycle has arrived but
+  // which the NI has not pulled yet (burst slip).
+  PrerollFrontier frontier_;
   std::size_t next_count_ = 0;
   std::size_t pending_ = 0;
 };

@@ -17,6 +17,7 @@
 
 #include "nbtinoc/noc/network.hpp"
 #include "nbtinoc/noc/traffic_source.hpp"
+#include "nbtinoc/traffic/preroll.hpp"
 #include "nbtinoc/util/rng.hpp"
 
 namespace nbtinoc::traffic {
@@ -98,7 +99,9 @@ class RequestReplySource final : public noc::ITrafficSource {
   /// no Bernoulli is ever drawn for a cycle that stepped execution would
   /// spend serving a reply (reply cycles draw nothing). Assumes every
   /// source sharing the ReplyBoard uses the same service_delay, as
-  /// install_request_reply_traffic guarantees.
+  /// install_request_reply_traffic guarantees, and has been polled for
+  /// every cycle before `now` that it fires at, as the network's retire
+  /// pass guarantees by asking only after all NIs stepped.
   sim::Cycle next_event_cycle(sim::Cycle now) override;
 
   std::uint64_t replies_sent() const { return replies_sent_; }
@@ -107,15 +110,13 @@ class RequestReplySource final : public noc::ITrafficSource {
     sim::save_rng(w, rng_);
     w.u64(0);  // reserved: v3 keeps the slot of a request count nothing read
     w.u64(replies_sent_);
-    w.u64(static_cast<std::uint64_t>(rolled_until_));
-    w.u64(static_cast<std::uint64_t>(next_fire_));
+    frontier_.save(w);
   }
   void load(sim::SnapshotReader& r) override {
     sim::load_rng(r, rng_);
     r.u64();  // reserved slot
     replies_sent_ = r.u64();
-    rolled_until_ = static_cast<sim::Cycle>(r.u64());
-    next_fire_ = static_cast<sim::Cycle>(r.u64());
+    frontier_.load(r);
   }
 
  private:
@@ -127,11 +128,8 @@ class RequestReplySource final : public noc::ITrafficSource {
   ReplyBoard* board_;
   util::Xoshiro256 rng_;
   std::uint64_t replies_sent_ = 0;
-  // Pre-roll frontier (see SyntheticSource): Bernoullis for all *request*
-  // cycles < rolled_until_ are drawn; next_fire_ is the earliest unserved
-  // success. Reply cycles advance rolled_until_ without a draw.
-  sim::Cycle rolled_until_ = 0;
-  sim::Cycle next_fire_ = sim::kCycleNever;
+  /// Request Bernoullis only: reply cycles move it without a draw.
+  PrerollFrontier frontier_;
 };
 
 /// Installs request/reply sources on every node (shares one ReplyBoard,

@@ -9,6 +9,7 @@
 #include "nbtinoc/noc/network.hpp"
 #include "nbtinoc/noc/traffic_source.hpp"
 #include "nbtinoc/traffic/patterns.hpp"
+#include "nbtinoc/traffic/preroll.hpp"
 #include "nbtinoc/util/rng.hpp"
 
 namespace nbtinoc::traffic {
@@ -22,28 +23,22 @@ class SyntheticSource final : public noc::ITrafficSource {
 
   std::optional<noc::PacketRequest> maybe_generate(sim::Cycle now) override;
 
-  /// Exact next-fire query for the active-set scheduler. Pre-rolls the
-  /// per-cycle Bernoulli stream (bounded look-ahead) without disturbing the
-  /// draw order: destination draws still happen at consumption time, so the
-  /// RNG stream is bit-identical to stepped execution.
+  /// Exact next-fire query for the active-set scheduler (PrerollFrontier).
   sim::Cycle next_event_cycle(sim::Cycle now) override;
 
   double injection_rate() const { return injection_rate_; }
 
   void save(sim::SnapshotWriter& w) const override {
     sim::save_rng(w, rng_);
-    w.u64(static_cast<std::uint64_t>(rolled_until_));
-    w.u64(static_cast<std::uint64_t>(next_fire_));
+    frontier_.save(w);
   }
   void load(sim::SnapshotReader& r) override {
     sim::load_rng(r, rng_);
-    rolled_until_ = static_cast<sim::Cycle>(r.u64());
-    next_fire_ = static_cast<sim::Cycle>(r.u64());
+    frontier_.load(r);
   }
 
  private:
-  /// Advances the pre-rolled Bernoulli frontier through cycle `limit`
-  /// (inclusive), stopping at the first success.
+  /// One Bernoulli per cycle through `limit`; a zero rate draws nothing.
   void roll_until(sim::Cycle limit);
 
   noc::NodeId src_;
@@ -52,12 +47,7 @@ class SyntheticSource final : public noc::ITrafficSource {
   double packet_probability_;
   DestinationPattern pattern_;
   util::Xoshiro256 rng_;
-  // Pre-roll state: the Bernoulli for every cycle < rolled_until_ has been
-  // drawn; next_fire_ is the earliest undelivered success (kCycleNever if
-  // none found yet). Invariant: no success exists in [next roll start,
-  // rolled_until_) other than next_fire_.
-  sim::Cycle rolled_until_ = 0;
-  sim::Cycle next_fire_ = sim::kCycleNever;
+  PrerollFrontier frontier_;
 };
 
 /// Installs one SyntheticSource per node with the given pattern; each node

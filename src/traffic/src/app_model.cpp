@@ -1,8 +1,8 @@
 #include "nbtinoc/traffic/app_model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
-#include <vector>
 
 #include "nbtinoc/noc/routing.hpp"
 
@@ -42,13 +42,13 @@ noc::NodeId AppTrafficSource::pick_destination() {
   const double roll = rng_.next_double();
   if (roll < profile_.locality) {
     // Random existing mesh neighbor (coherence with the data's owner tile).
-    std::vector<noc::NodeId> neighbors;
+    std::array<noc::NodeId, 4> neighbors{};
+    std::size_t count = 0;
     for (int d = 0; d < 4; ++d) {
       const noc::NodeId nb = noc::neighbor_of(src_, static_cast<noc::Dir>(d), width_, height_);
-      if (nb >= 0) neighbors.push_back(nb);
+      if (nb >= 0) neighbors[count++] = nb;
     }
-    if (!neighbors.empty())
-      return neighbors[static_cast<std::size_t>(rng_.next_below(neighbors.size()))];
+    if (count > 0) return neighbors[static_cast<std::size_t>(rng_.next_below(count))];
   } else if (roll < profile_.locality + profile_.hotspot_fraction && hotspot_ != src_) {
     return hotspot_;  // directory / memory-controller tile
   }
@@ -58,30 +58,16 @@ noc::NodeId AppTrafficSource::pick_destination() {
   return draw >= src_ ? draw + 1 : draw;
 }
 
-namespace {
-// Bounded pre-roll window for next_event_cycle (see SyntheticSource).
-constexpr sim::Cycle kLookaheadCycles = 4096;
-}  // namespace
-
 void AppTrafficSource::roll_until(sim::Cycle limit) {
-  // Exact stepped draw order per cycle: phase transition first, then
-  // emission from the (possibly new) state; the destination draws of a
-  // successful emission happen at consumption time.
-  while (next_fire_ == sim::kCycleNever && rolled_until_ <= limit) {
-    if (on_) {
-      if (rng_.next_bernoulli(p_exit_on_)) on_ = false;
-    } else {
-      if (rng_.next_bernoulli(p_exit_off_)) on_ = true;
-    }
-    if (rng_.next_bernoulli(on_ ? p_on_packet_ : p_off_packet_)) next_fire_ = rolled_until_;
-    ++rolled_until_;
-  }
+  frontier_.roll(limit, [this] {
+    if (rng_.next_bernoulli(on_ ? p_exit_on_ : p_exit_off_)) on_ = !on_;
+    return rng_.next_bernoulli(on_ ? p_on_packet_ : p_off_packet_);
+  });
 }
 
 std::optional<noc::PacketRequest> AppTrafficSource::maybe_generate(sim::Cycle now) {
   roll_until(now);
-  if (next_fire_ > now) return std::nullopt;  // covers kCycleNever
-  next_fire_ = sim::kCycleNever;
+  if (!frontier_.take(now)) return std::nullopt;
   return noc::PacketRequest{pick_destination(), profile_.packet_length};
 }
 
@@ -90,9 +76,7 @@ sim::Cycle AppTrafficSource::next_event_cycle(sim::Cycle now) {
   // The skipped transition draws are unobservable then: the chain's state
   // only ever surfaces through emitted packets.
   if (p_on_packet_ <= 0.0 && p_off_packet_ <= 0.0) return sim::kCycleNever;
-  if (next_fire_ == sim::kCycleNever) roll_until(now + kLookaheadCycles);
-  if (next_fire_ != sim::kCycleNever) return std::max(now, next_fire_);
-  return rolled_until_;
+  return frontier_.horizon(now, [this](sim::Cycle limit) { roll_until(limit); });
 }
 
 }  // namespace nbtinoc::traffic

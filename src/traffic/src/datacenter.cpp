@@ -123,47 +123,34 @@ double DatacenterAggregateSource::lambda_at(sim::Cycle cycle, sim::Cycle& span) 
   return seg_lambda_[seg_idx_];
 }
 
-namespace {
-// Same pre-roll horizon as SyntheticSource: far enough that one probe
-// nearly always finds the next emission, bounded so a probe never runs
-// away on a long idle stretch.
-constexpr sim::Cycle kLookaheadCycles = 4096;
-}  // namespace
-
 void DatacenterAggregateSource::roll_until(sim::Cycle limit) {
-  // Stepped draw order, exactly: one Bernoulli per cycle with lambda's
-  // fractional part (integer part is draw-free), in cycle order, stopping
-  // at the first nonzero batch. Destination draws are deferred to
-  // consumption. Bernoulli(p <= 0) consumes no RNG state, so idle segments
-  // are skipped whole — stream-equivalent, not just faster.
-  if (max_lambda_ <= 0.0) {
-    rolled_until_ = std::max(rolled_until_, limit + 1);
-    return;
-  }
-  while (next_fire_ == sim::kCycleNever && rolled_until_ <= limit) {
+  // One Bernoulli per cycle with lambda's fractional part (the integer part
+  // is draw-free), rolled a constant-lambda segment at a time. Bernoulli
+  // (p <= 0) consumes no RNG state, so idle segments are skipped whole.
+  if (max_lambda_ <= 0.0) return frontier_.skip_to(limit + 1);
+  while (!frontier_.fired() && frontier_.rolled_until() <= limit) {
     sim::Cycle span = 0;
-    const double lambda = lambda_at(rolled_until_, span);
+    const double lambda = lambda_at(frontier_.rolled_until(), span);
+    const sim::Cycle last = std::min(limit, frontier_.rolled_until() + span - 1);
     if (lambda <= 0.0) {
-      rolled_until_ = std::min(limit + 1, rolled_until_ + span);
+      frontier_.skip_to(last + 1);
       continue;
     }
     const double base = std::floor(lambda);
     const double frac = lambda - base;
-    std::size_t k = static_cast<std::size_t>(base);
-    if (frac > 0.0 && rng_.next_bernoulli(frac)) ++k;
-    if (k > 0) {
-      next_fire_ = rolled_until_;
-      next_count_ = k;
-    }
-    ++rolled_until_;
+    frontier_.roll(last, [&] {
+      std::size_t k = static_cast<std::size_t>(base);
+      if (frac > 0.0 && rng_.next_bernoulli(frac)) ++k;
+      if (k > 0) next_count_ = k;
+      return k > 0;
+    });
   }
 }
 
 void DatacenterAggregateSource::refill(sim::Cycle now) {
   roll_until(now);
-  while (next_fire_ != sim::kCycleNever && next_fire_ <= now) {
+  while (frontier_.take(now)) {
     pending_ += next_count_;
-    next_fire_ = sim::kCycleNever;
     next_count_ = 0;
     roll_until(now);
   }
@@ -191,11 +178,7 @@ sim::Cycle DatacenterAggregateSource::next_event_cycle(sim::Cycle now) {
   // scheduler mode drains the backlog on the same cycles.
   if (pending_ > 0) return now;
   if (max_lambda_ <= 0.0) return sim::kCycleNever;
-  if (next_fire_ == sim::kCycleNever) roll_until(now + kLookaheadCycles);
-  if (next_fire_ != sim::kCycleNever) return std::max(now, next_fire_);
-  // No emission in the rolled prefix: every cycle below rolled_until_ is
-  // known packet-free, so it is a safe (conservative) horizon.
-  return rolled_until_;
+  return frontier_.horizon(now, [this](sim::Cycle limit) { roll_until(limit); });
 }
 
 int DatacenterAggregateSource::active_sessions(sim::Cycle c) const {

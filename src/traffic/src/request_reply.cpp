@@ -5,13 +5,6 @@
 
 namespace nbtinoc::traffic {
 
-namespace {
-// Bounded pre-roll window for next_event_cycle (see SyntheticSource): if no
-// fire is found within it, the rolled frontier is returned as a safe
-// conservative horizon and the caller re-asks after skipping there.
-constexpr sim::Cycle kLookaheadCycles = 4096;
-}  // namespace
-
 RequestReplySource::RequestReplySource(noc::NodeId node, int mesh_nodes,
                                        RequestReplyConfig config, ReplyBoard* board,
                                        std::uint64_t seed)
@@ -37,11 +30,8 @@ void RequestReplySource::roll_until(sim::Cycle limit, sim::Cycle now) {
   const auto& pending = board_->of(node_);
   if (!pending.empty()) cap = std::min(cap, pending.front().ready_at);
   if (cap == 0) return;
-  const sim::Cycle last = std::min(limit, cap - 1);
-  while (next_fire_ == sim::kCycleNever && rolled_until_ <= last) {
-    if (rng_.next_bernoulli(config_.request_rate)) next_fire_ = rolled_until_;
-    ++rolled_until_;
-  }
+  frontier_.roll(std::min(limit, cap - 1),
+                 [this] { return rng_.next_bernoulli(config_.request_rate); });
 }
 
 std::optional<noc::PacketRequest> RequestReplySource::maybe_generate(sim::Cycle now) {
@@ -51,9 +41,8 @@ std::optional<noc::PacketRequest> RequestReplySource::maybe_generate(sim::Cycle 
   // ready reply (fires are capped strictly below the front's ready_at), so
   // serve it first; with per-cycle stepping the fire cycle is `now` itself
   // and this is exactly the old request branch.
-  if (next_fire_ <= now) {
-    const sim::Cycle fire = next_fire_;
-    next_fire_ = sim::kCycleNever;
+  const sim::Cycle fire = frontier_.next_fire();
+  if (frontier_.take(now)) {
     // Uniform server choice among the other nodes.
     const auto draw = static_cast<noc::NodeId>(
         rng_.next_below(static_cast<std::uint64_t>(mesh_nodes_ - 1)));
@@ -71,7 +60,7 @@ std::optional<noc::PacketRequest> RequestReplySource::maybe_generate(sim::Cycle 
     const noc::NodeId dst = pending.front().dst;
     pending.pop_front();
     ++replies_sent_;
-    if (rolled_until_ <= now) rolled_until_ = now + 1;
+    frontier_.skip_to(now + 1);
     return noc::PacketRequest{dst, config_.reply_length, config_.reply_vnet};
   }
   return std::nullopt;
@@ -82,10 +71,8 @@ sim::Cycle RequestReplySource::next_event_cycle(sim::Cycle now) {
   const sim::Cycle reply_at =
       pending.empty() ? sim::kCycleNever : std::max(now, pending.front().ready_at);
   if (config_.request_rate <= 0.0) return reply_at;
-  if (next_fire_ == sim::kCycleNever) roll_until(now + kLookaheadCycles, now);
-  const sim::Cycle fire_at =
-      next_fire_ != sim::kCycleNever ? std::max(now, next_fire_) : rolled_until_;
-  return std::min(fire_at, reply_at);
+  return std::min(reply_at,
+                  frontier_.horizon(now, [&](sim::Cycle limit) { roll_until(limit, now); }));
 }
 
 namespace {

@@ -1,6 +1,5 @@
 #include "nbtinoc/traffic/synthetic.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <stdexcept>
 
@@ -20,45 +19,20 @@ SyntheticSource::SyntheticSource(noc::NodeId src, double injection_rate, int pac
     throw std::invalid_argument("SyntheticSource: rate exceeds one packet per cycle");
 }
 
-namespace {
-// How far past `now` next_event_cycle() is willing to pre-roll looking for
-// the next fire. At the paper's lowest rates (p ~ 1e-2) the expected gap is
-// ~100 cycles, so one probe nearly always finds the fire; if it does not,
-// the conservative horizon (everything rolled is known packet-free) lets
-// the caller skip there and re-ask.
-constexpr sim::Cycle kLookaheadCycles = 4096;
-}  // namespace
-
 void SyntheticSource::roll_until(sim::Cycle limit) {
-  // Reproduce the stepped draw order exactly: one Bernoulli per cycle, in
-  // cycle order, stopping at the first success (whose destination draw is
-  // deferred to consumption time, as in stepped mode). p <= 0 consumes no
-  // RNG state per Xoshiro256::next_bernoulli, so skipping the loop is
-  // stream-equivalent, not just an optimization.
-  if (packet_probability_ <= 0.0) {
-    rolled_until_ = std::max(rolled_until_, limit + 1);
-    return;
-  }
-  while (next_fire_ == sim::kCycleNever && rolled_until_ <= limit) {
-    if (rng_.next_bernoulli(packet_probability_)) next_fire_ = rolled_until_;
-    ++rolled_until_;
-  }
+  if (packet_probability_ <= 0.0) return frontier_.skip_to(limit + 1);
+  frontier_.roll(limit, [this] { return rng_.next_bernoulli(packet_probability_); });
 }
 
 std::optional<noc::PacketRequest> SyntheticSource::maybe_generate(sim::Cycle now) {
   roll_until(now);
-  if (next_fire_ > now) return std::nullopt;  // covers kCycleNever
-  next_fire_ = sim::kCycleNever;
+  if (!frontier_.take(now)) return std::nullopt;
   return noc::PacketRequest{pattern_.pick(src_, rng_), packet_length_};
 }
 
 sim::Cycle SyntheticSource::next_event_cycle(sim::Cycle now) {
   if (packet_probability_ <= 0.0) return sim::kCycleNever;
-  if (next_fire_ == sim::kCycleNever) roll_until(now + kLookaheadCycles);
-  if (next_fire_ != sim::kCycleNever) return std::max(now, next_fire_);
-  // No fire in the rolled prefix: every cycle below rolled_until_ is known
-  // packet-free, so it is a safe (conservative) horizon.
-  return rolled_until_;
+  return frontier_.horizon(now, [this](sim::Cycle limit) { roll_until(limit); });
 }
 
 void install_synthetic_traffic(noc::Network& network, PatternKind pattern, double injection_rate,

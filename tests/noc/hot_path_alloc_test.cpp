@@ -22,6 +22,8 @@
 #include "nbtinoc/core/controller.hpp"
 #include "nbtinoc/noc/network.hpp"
 #include "nbtinoc/sim/fault_plan.hpp"
+#include "nbtinoc/traffic/benchmarks.hpp"
+#include "nbtinoc/traffic/datacenter.hpp"
 #include "nbtinoc/traffic/synthetic.hpp"
 #include "nbtinoc/traffic/trace.hpp"
 
@@ -192,6 +194,40 @@ TEST(HotPathAllocation, TraceReplaySteadyStateIsAllocationFree) {
   // The audited window must have replayed real traffic, not an exhausted
   // trace idling along.
   EXPECT_GT(net.stats().counter("noc.packets_offered"), offered_before);
+}
+
+TEST(HotPathAllocation, BenchmarkMixSteadyStateIsAllocationFree) {
+  // Table IV's application sources: the Markov pre-roll and every
+  // destination pick (neighbor locality, hotspot, uniform) stay off the heap.
+  // The presets run at half rate and warm longer than the other audits:
+  // their bursts grow the NI queues, and the window must not see a burst
+  // deeper than the warmup's.
+  Network net(mesh(4, 4));
+  const auto model = nbti::NbtiModel::calibrated({}, {});
+  core::PolicyConfig pc;
+  pc.kind = core::PolicyKind::kSensorWise;
+  core::PolicyGateController ctrl(net, pc, model, {}, nbti::PvConfig{}, 7);
+  ctrl.attach();
+  traffic::install_benchmark_mix(net, traffic::random_mix(net.nodes(), 5), 42,
+                                 /*hotspot=*/-1, /*rate_scale=*/0.5);
+  net.run(20'000);
+  EXPECT_EQ(allocations_during_steps(net, 2'500), 0u);
+}
+
+TEST(HotPathAllocation, DatacenterSteadyStateIsAllocationFree) {
+  // The damq-bursty workload's source on its shared-buffer fabric: batch
+  // draws, idle-segment skips and burst backlogs stay off the heap.
+  NocConfig c = mesh(4, 4);
+  c.buffer_org = BufferOrg::kShared;
+  Network net(c);
+  const auto model = nbti::NbtiModel::calibrated({}, {});
+  core::PolicyConfig pc;
+  pc.kind = core::PolicyKind::kSensorWiseSlotMd;
+  core::PolicyGateController ctrl(net, pc, model, {}, nbti::PvConfig{}, 7);
+  ctrl.attach();
+  traffic::install_datacenter_traffic(net, traffic::DatacenterProfile{}, 42);
+  net.run(6'000);
+  EXPECT_EQ(allocations_during_steps(net, 2'500), 0u);
 }
 
 TEST(HotPathAllocation, TopologyRoutedSteadyStateIsAllocationFree) {

@@ -139,6 +139,9 @@ TEST(RequestReply, RejectsBadSetups) {
   same_vnet.reply_vnet = same_vnet.request_vnet;
   EXPECT_THROW(RequestReplySource(0, 4, same_vnet, &board, 1), std::invalid_argument);
   EXPECT_THROW(RequestReplySource(0, 4, {}, nullptr, 1), std::invalid_argument);
+  RequestReplyConfig bad_rate;
+  bad_rate.request_rate = 1.5;
+  EXPECT_THROW(RequestReplySource(0, 4, bad_rate, &board, 1), std::invalid_argument);
 }
 
 TEST(RequestReply, RepliesFollowRequests) {
@@ -186,6 +189,38 @@ TEST(RequestReply, EndToEndOverTwoVnets) {
   const double mean_len = static_cast<double>(flits) / static_cast<double>(packets);
   EXPECT_GT(mean_len, 2.0);
   EXPECT_LT(mean_len, 9.0);
+}
+
+TEST(RequestReply, NetworkResumesFromASnapshot) {
+  // The shared ReplyBoard rides in node 0's source, so a network restored
+  // mid-run, pending replies included, must continue exactly as the
+  // uninterrupted one: the two end on identical checkpoint bytes.
+  noc::NocConfig cfg;
+  cfg.width = 2;
+  cfg.height = 2;
+  cfg.num_vcs = 2;
+  cfg.num_vnets = 2;
+  RequestReplyConfig rr;
+  rr.request_rate = 0.2;  // ~16 replies pending at any time
+  noc::Network straight(cfg);
+  install_request_reply_traffic(straight, rr, 7);
+  straight.run(3'000);
+  sim::SnapshotWriter paused;
+  straight.save_state(paused);
+  straight.run(2'000);
+
+  noc::Network resumed(cfg);
+  install_request_reply_traffic(resumed, rr, 7);
+  sim::SnapshotReader reader(paused.data());
+  resumed.load_state(reader);
+  resumed.run(2'000);
+
+  sim::SnapshotWriter want;
+  sim::SnapshotWriter got;
+  straight.save_state(want);
+  resumed.save_state(got);
+  EXPECT_GT(straight.stats().counter("noc.packets_ejected"), 1'000u);
+  EXPECT_TRUE(want.data() == got.data()) << "resumed network drifted from the uninterrupted one";
 }
 
 }  // namespace

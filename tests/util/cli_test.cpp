@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace nbtinoc::util {
@@ -54,6 +55,27 @@ TEST(CliArgs, MalformedNumbersThrow) {
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_EQ(std::string(e.what()), "--cycles: '2e5' is not an integer");
+  }
+}
+
+TEST(CliArgs, NarrowedIntegersRejectValuesTheirTypeCannotHold) {
+  EXPECT_EQ(make({"prog", "--cores", "16"}).get_int_as<int>("cores", 4), 16);
+  EXPECT_EQ(make({"prog"}).get_int_as<unsigned>("workers", 3), 3u);
+  EXPECT_EQ(
+      make({"prog", "--cycles", "9223372036854775807"}).get_int_as<std::uint64_t>("cycles", 1),
+      9'223'372'036'854'775'807ULL);
+  // Past int: a bare static_cast<int> reads this as 4.
+  EXPECT_THROW(make({"prog", "--cores", "4294967300"}).get_int_as<int>("cores", 16),
+               std::invalid_argument);
+  EXPECT_THROW(make({"prog", "--cycles", "-5"}).get_int_as<std::uint64_t>("cycles", 1),
+               std::invalid_argument);
+  // Malformed text still fails as in get_int_or.
+  EXPECT_THROW(make({"prog", "--vcs", "4x"}).get_int_as<int>("vcs", 4), std::invalid_argument);
+  try {
+    make({"prog", "--workers", "-1"}).get_int_as<unsigned>("workers", 0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "--workers: -1 is outside [0, 4294967295]");
   }
 }
 
