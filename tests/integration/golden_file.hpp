@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -20,6 +21,18 @@ inline std::vector<std::string> lines_of(const std::string& text) {
   std::string line;
   while (std::getline(in, line)) lines.push_back(line);
   return lines;
+}
+
+/// Lower-case hex of raw bytes (snapshot goldens are kept as text, so a
+/// drift shows as a line diff).
+inline std::string hex_of(const std::string& bytes) {
+  std::string out;
+  char buf[3];
+  for (const char ch : bytes) {
+    std::snprintf(buf, sizeof(buf), "%02x", static_cast<unsigned char>(ch));
+    out += buf;
+  }
+  return out;
 }
 
 /// Compares `actual` with the golden file at `path` line by line, or
