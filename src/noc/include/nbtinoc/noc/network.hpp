@@ -274,8 +274,8 @@ class Network {
   /// surviving credit counter from the conservation identity, re-runs RC
   /// for waiting heads, and audits the regenerated CDG for acyclicity.
   void purge_after_kill(sim::Cycle now);
-  /// Rewrites credit counters of every surviving link and NI to
-  /// depth - in-flight flits - in-flight credits - downstream occupancy.
+  /// Re-imposes the credit identity (credit_view.hpp) on the credit view
+  /// of every surviving link and NI; blocks the views of dead outputs.
   void restore_credits();
 
   /// Dense index of an input port: router × ports per router + port.

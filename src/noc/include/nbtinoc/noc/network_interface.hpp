@@ -2,8 +2,8 @@
 // Network interface (NI) of one tile.
 //
 // The NI is the *upstream entity* of its router's Local input port: it
-// performs VC allocation for that port, tracks its credits, and — like any
-// upstream router — runs the pre-VA gating policy for it. Packets produced
+// performs VC allocation for that port, keeps its credit view, and — like
+// any upstream router — runs the pre-VA gating policy for it. Packets produced
 // by the traffic source wait in an unbounded source queue (standard open-
 // loop methodology: offered load is never back-pressured into the source).
 
@@ -11,8 +11,8 @@
 
 #include "nbtinoc/noc/channel.hpp"
 #include "nbtinoc/noc/config.hpp"
+#include "nbtinoc/noc/credit_view.hpp"
 #include "nbtinoc/noc/flit.hpp"
-#include "nbtinoc/noc/input_unit.hpp"
 #include "nbtinoc/noc/traffic_source.hpp"
 #include "nbtinoc/sim/stat_registry.hpp"
 #include "nbtinoc/util/ring_queue.hpp"
@@ -78,12 +78,6 @@ class NetworkInterface {
     send_vc_ = kInvalidVc;
   }
 
-  /// Structural-fault drain support: rewrites one VC credit counter to the
-  /// exact survivor-side value. Never used on the healthy path.
-  void set_credits(int vc, int credits) {
-    credits_.at(static_cast<std::size_t>(vc)) = credits;
-  }
-
   /// Drops every queued packet that can no longer reach its destination on
   /// the degraded fabric (dead destination tile or no surviving path).
   /// Each one is counted as fault.unroutable_packets.
@@ -114,14 +108,10 @@ class NetworkInterface {
   void save(sim::SnapshotWriter& w) const;
   void load(sim::SnapshotReader& r);
 
-  // --- read-only wiring views (used by the invariant checker) ---------------
-  /// Credits the NI holds for VC `vc` of its router's Local input port.
-  int credits(int vc) const { return credits_.at(static_cast<std::size_t>(vc)); }
-  /// Non-null under the shared organization: the wired router port's slot
-  /// pool, whose per-VC charge replaces the credits_ counters entirely.
-  SharedBufferPool* shared_pool() const {
-    return router_iu_ != nullptr ? router_iu_->pool() : nullptr;
-  }
+  // --- wiring views (the kill drain and the invariant checker) --------------
+  /// The credit view of the router's Local input port.
+  CreditView& credit_view() { return credit_view_; }
+  const CreditView& credit_view() const { return credit_view_; }
   const Channel<Flit>* inject_link() const { return inject_out_; }
   const Channel<Credit>* credit_link() const { return credit_in_; }
   const Channel<Flit>* eject_link() const { return eject_in_; }
@@ -157,12 +147,10 @@ class NetworkInterface {
   sim::CounterHandle h_unroutable_;
   sim::DistributionHandle d_packet_latency_;
 
-  InputUnit* router_iu_ = nullptr;
+  CreditView credit_view_;  ///< wired to the router's Local input port
   Channel<Flit>* inject_out_ = nullptr;
   Channel<Credit>* credit_in_ = nullptr;
   Channel<Flit>* eject_in_ = nullptr;
-
-  std::vector<int> credits_;
 
   // In-flight packet being serialized into the router.
   bool sending_ = false;

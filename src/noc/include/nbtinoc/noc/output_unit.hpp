@@ -1,14 +1,12 @@
 #pragma once
 // Output unit: the upstream-side bookkeeping for one router output port —
-// credit counters for the downstream VC buffers plus the VA/SA arbitration
+// the credit view of the downstream input port plus the VA/SA arbitration
 // state. The VC *states* themselves are read through OutVcStateView over the
 // downstream input unit (the out-VC-state table of paper Fig. 1).
 
-#include <vector>
-
 #include "nbtinoc/noc/arbiter.hpp"
 #include "nbtinoc/noc/config.hpp"
-#include "nbtinoc/noc/shared_pool.hpp"
+#include "nbtinoc/noc/credit_view.hpp"
 #include "nbtinoc/noc/types.hpp"
 #include "nbtinoc/sim/snapshot.hpp"
 
@@ -22,26 +20,10 @@ class OutputUnit {
   Dir dir() const { return dir_; }
   bool is_ejection() const { return ejection_; }
 
-  /// Shared organization: credit state is the downstream pool's per-VC
-  /// charge (zero-skew, like the out-VC-state view) instead of the local
-  /// per-VC counters; has_credit/consume_credit/add_credit delegate. The
-  /// pool must outlive this unit.
-  void set_shared_pool(SharedBufferPool* pool) { pool_ = pool; }
-
-  /// May SA forward a flit on downstream VC `vc` this cycle? Partitioned:
-  /// a per-VC credit remains. Shared: the pool's reservation check.
-  bool has_credit(int vc) const {
-    return pool_ != nullptr ? pool_->can_send(vc)
-                            : credits_.at(static_cast<std::size_t>(vc)) > 0;
-  }
-
-  int credits(int vc) const { return credits_.at(static_cast<std::size_t>(vc)); }
-  void add_credit(int vc);
-  void consume_credit(int vc);
-  /// Structural-fault drain support: rewrites one VC's credit count to the
-  /// exact survivor-side value (buffer depth minus surviving occupancy and
-  /// in-flight payloads). Never used on the healthy path.
-  void set_credits(int vc, int credits) { credits_.at(static_cast<std::size_t>(vc)) = credits; }
+  /// The downstream input port's credit view: empty and unwired on an
+  /// ejection port, wired by Router::wire_output on a cardinal one.
+  CreditView& credit_view() { return credit_view_; }
+  const CreditView& credit_view() const { return credit_view_; }
 
   /// VA arbitration over flattened (input port, VC) requesters.
   RoundRobinArbiter& va_arbiter() { return va_arbiter_; }
@@ -53,13 +35,13 @@ class OutputUnit {
 
   // --- checkpoint/restore ----------------------------------------------------
   void save(sim::SnapshotWriter& w) const {
-    for (int c : credits_) w.i64(c);
+    credit_view_.save(w);
     w.u64(va_arbiter_.pointer());
     w.u64(vc_select_.pointer());
     w.u64(sa_arbiter_.pointer());
   }
   void load(sim::SnapshotReader& r) {
-    for (int& c : credits_) c = static_cast<int>(r.i64());
+    credit_view_.load(r);
     va_arbiter_.set_pointer(static_cast<std::size_t>(r.u64()));
     vc_select_.set_pointer(static_cast<std::size_t>(r.u64()));
     sa_arbiter_.set_pointer(static_cast<std::size_t>(r.u64()));
@@ -68,9 +50,7 @@ class OutputUnit {
  private:
   Dir dir_;
   bool ejection_;
-  std::vector<int> credits_;  ///< untouched (all at depth) under a shared pool
-  SharedBufferPool* pool_ = nullptr;
-  int buffer_depth_;
+  CreditView credit_view_;
   RoundRobinArbiter va_arbiter_;
   RoundRobinArbiter vc_select_;
   RoundRobinArbiter sa_arbiter_;

@@ -93,8 +93,10 @@ class Router {
   const Channel<Flit>* flit_in_link(Dir dir) const {
     return flit_in_[static_cast<std::size_t>(dir)];
   }
+  /// The input port an output feeds (its credit view's), or nullptr.
   const InputUnit* downstream_input(Dir dir) const {
-    return downstream_iu_[static_cast<std::size_t>(dir)];
+    const auto& ou = outputs_[static_cast<std::size_t>(dir)];
+    return ou ? ou->credit_view().downstream() : nullptr;
   }
 
   /// True if any input VC holds a routed head flit toward `out` that has no
@@ -197,7 +199,6 @@ class Router {
 
   // Wiring (non-owning; channels owned by Network). All sized ports_;
   // ejection channels are indexed by local port, null on cardinal slots.
-  std::vector<InputUnit*> downstream_iu_;
   std::vector<Channel<Flit>*> flit_out_;
   std::vector<Channel<Credit>*> credit_in_;
   std::vector<Channel<Flit>*> flit_in_;

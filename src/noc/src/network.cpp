@@ -826,7 +826,7 @@ void Network::purge_after_kill(sim::Cycle now) {
     }
   }
 
-  // --- 5. rewrite every surviving credit counter from the identity -----------
+  // --- 5. restore every surviving credit view from the identity -------------
   restore_credits();
 
   // --- 6. re-run RC for waiting heads against the regenerated tables ---------
@@ -848,66 +848,36 @@ void Network::purge_after_kill(sim::Cycle now) {
 }
 
 void Network::restore_credits() {
-  const int total_vcs = config_.total_vcs();
-  std::vector<int> accounted(static_cast<std::size_t>(total_vcs));
+  // One link: everything charged for VC v and not yet credited back is in
+  // flight on the two channels or resident in v downstream.
+  std::vector<int> outstanding(static_cast<std::size_t>(config_.total_vcs()));
+  const auto restore_link = [&](CreditView& view, const Channel<Flit>& flits,
+                                const Channel<Credit>& credits) {
+    std::fill(outstanding.begin(), outstanding.end(), 0);
+    flits.for_each_in_flight(
+        [&](const Flit& f, sim::Cycle) { ++outstanding[static_cast<std::size_t>(f.vc)]; });
+    credits.for_each_in_flight(
+        [&](const Credit& c, sim::Cycle) { ++outstanding[static_cast<std::size_t>(c.vc)]; });
+    for (int v = 0; v < config_.total_vcs(); ++v)
+      view.restore(v, outstanding[static_cast<std::size_t>(v)] +
+                          view.downstream()->vc(v).occupancy());
+  };
   for (NodeId u = 0; u < num_routers(); ++u) {
     Router& ru = router(u);
     if (ru.dead()) continue;
     for (int d = 0; d < 4; ++d) {
       const Dir dir = static_cast<Dir>(d);
       if (!ru.has_output(dir)) continue;
-      OutputUnit& out = ru.output(dir);
-      if (!topo_->link_alive(u, dir)) {
-        // Dead output: zero credits, so not even a latent bug can push a
-        // flit into the cleared channel. Under a shared pool the equivalent
-        // block is charging every VC to full depth: charged >= reserve
-        // closes the reserved path and overcommit == shared_capacity >=
-        // shared_limit closes the shared one, so can_send() is false for
-        // every VC forever.
-        for (int v = 0; v < total_vcs; ++v) out.set_credits(v, 0);
-        if (SharedBufferPool* pool = router(topo_->neighbor(u, dir)).input(opposite(dir)).pool())
-          for (int v = 0; v < total_vcs; ++v) pool->set_charged(v, config_.buffer_depth);
-        continue;
-      }
-      const NodeId w = topo_->neighbor(u, dir);
-      std::fill(accounted.begin(), accounted.end(), 0);
-      ru.flit_out_link_mut(dir)->for_each_in_flight(
-          [&](const Flit& f, sim::Cycle) { ++accounted[static_cast<std::size_t>(f.vc)]; });
-      ru.credit_in_link_mut(dir)->for_each_in_flight(
-          [&](const Credit& c, sim::Cycle) { ++accounted[static_cast<std::size_t>(c.vc)]; });
-      InputUnit& diu = router(w).input(opposite(dir));
-      if (SharedBufferPool* pool = diu.pool()) {
-        // Same identity, pool-resident form: everything the upstream ever
-        // charged for VC v that has not yet been credited back is either
-        // in flight on the two links or resident in the VC's slot chain.
-        for (int v = 0; v < total_vcs; ++v)
-          pool->set_charged(v, accounted[static_cast<std::size_t>(v)] + diu.vc(v).occupancy());
-        continue;
-      }
-      for (int v = 0; v < total_vcs; ++v)
-        out.set_credits(v, config_.buffer_depth - accounted[static_cast<std::size_t>(v)] -
-                               diu.vc(v).occupancy());
+      CreditView& view = ru.output(dir).credit_view();
+      if (!topo_->link_alive(u, dir))
+        view.block();
+      else
+        restore_link(view, *ru.flit_out_link(dir), *ru.credit_in_link(dir));
     }
   }
-  for (auto& term : nis_) {
-    if (term->dead()) continue;
-    const NodeId r = topo_->router_of(term->node());
-    const Dir local = topo_->local_port_of(term->node());
-    std::fill(accounted.begin(), accounted.end(), 0);
-    term->inject_link()->for_each_in_flight(
-        [&](const Flit& f, sim::Cycle) { ++accounted[static_cast<std::size_t>(f.vc)]; });
-    term->credit_link()->for_each_in_flight(
-        [&](const Credit& c, sim::Cycle) { ++accounted[static_cast<std::size_t>(c.vc)]; });
-    const InputUnit& iu = router(r).input(local);
-    if (SharedBufferPool* pool = term->shared_pool()) {
-      for (int v = 0; v < total_vcs; ++v)
-        pool->set_charged(v, accounted[static_cast<std::size_t>(v)] + iu.vc(v).occupancy());
-      continue;
-    }
-    for (int v = 0; v < total_vcs; ++v)
-      term->set_credits(v, config_.buffer_depth - accounted[static_cast<std::size_t>(v)] -
-                               iu.vc(v).occupancy());
-  }
+  for (auto& term : nis_)
+    if (!term->dead())
+      restore_link(term->credit_view(), *term->inject_link(), *term->credit_link());
 }
 
 void Network::save_state(sim::SnapshotWriter& w) const {

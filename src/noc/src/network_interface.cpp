@@ -16,11 +16,11 @@ NetworkInterface::NetworkInterface(NodeId node, const NocConfig& config, sim::St
       h_packets_offered_(stats.intern("noc.packets_offered")),
       h_unroutable_(stats.intern("fault.unroutable_packets")),
       d_packet_latency_(stats.intern_distribution("noc.packet_latency")),
-      credits_(static_cast<std::size_t>(config.total_vcs()), config.buffer_depth) {}
+      credit_view_(config.total_vcs(), config.buffer_depth) {}
 
 void NetworkInterface::wire(InputUnit* router_local_iu, Channel<Flit>* inject_out,
                             Channel<Credit>* credit_in, Channel<Flit>* eject_in) {
-  router_iu_ = router_local_iu;
+  credit_view_.wire(router_local_iu);
   inject_out_ = inject_out;
   credit_in_ = credit_in;
   eject_in_ = eject_in;
@@ -57,15 +57,7 @@ void NetworkInterface::drop_queued_unroutable() {
 
 void NetworkInterface::receive(sim::Cycle now) {
   if (dead_) return;
-  while (auto credit = credit_in_->pop_ready(now)) {
-    if (SharedBufferPool* pool = shared_pool()) {
-      pool->uncharge(credit->vc);  // throws on a credit the NI never charged
-      continue;
-    }
-    int& c = credits_.at(static_cast<std::size_t>(credit->vc));
-    if (c >= config_.buffer_depth) throw std::logic_error("NI: credit overflow");
-    ++c;
-  }
+  while (auto credit = credit_in_->pop_ready(now)) credit_view_.receive_credit(credit->vc);
   while (auto flit = eject_in_->pop_ready(now)) {
     stats_->add(h_flits_ejected_);
     if (is_tail(flit->type)) {
@@ -98,26 +90,24 @@ void NetworkInterface::inject(sim::Cycle now, std::uint64_t& packet_id_counter) 
   if (!sending_ && !queue_.empty() && queue_.front().injected_at < now) {
     const int cls = front_class();
     const int first = config_.first_vc_of_vnet(queue_.front().vnet) + config_.class_first_vc(cls);
+    InputUnit& iu = *credit_view_.downstream();
     for (int v = first; v < first + config_.class_num_vcs(cls); ++v) {
-      if (router_iu_->vc(v).allocatable(now)) {
+      if (iu.vc(v).allocatable(now)) {
         send_pkt_ = queue_.front();
         queue_.pop_front();
         send_vc_ = v;
         send_seq_ = 0;
         send_id_ = ++packet_id_counter;
         sending_ = true;
-        router_iu_->vc(v).allocate(send_id_, now);
+        iu.vc(v).allocate(send_id_, now);
         stats_->add(h_ni_va_grants_);
         break;
       }
     }
   }
 
-  // Serialize one flit per cycle, credits permitting (shared organization:
-  // the pool's slot-credit reservation check instead of per-VC counters).
-  if (sending_ && (shared_pool() != nullptr
-                       ? shared_pool()->can_send(send_vc_)
-                       : credits_.at(static_cast<std::size_t>(send_vc_)) > 0)) {
+  // Serialize one flit per cycle, credits permitting.
+  if (sending_ && credit_view_.can_send(send_vc_)) {
     Flit flit;
     flit.packet = send_id_;
     flit.src = node_;
@@ -135,10 +125,7 @@ void NetworkInterface::inject(sim::Cycle now, std::uint64_t& packet_id_counter) 
     } else {
       flit.type = FlitType::Body;
     }
-    if (SharedBufferPool* pool = shared_pool())
-      pool->charge(send_vc_);
-    else
-      --credits_.at(static_cast<std::size_t>(send_vc_));
+    credit_view_.send(send_vc_);
     inject_out_->push(flit, now);
     ++flits_injected_;
     stats_->add(h_flits_injected_);
@@ -189,7 +176,7 @@ void NetworkInterface::save(sim::SnapshotWriter& w) const {
     w.i64(p.vnet);
     w.u64(static_cast<std::uint64_t>(p.injected_at));
   }
-  for (int c : credits_) w.i64(c);
+  credit_view_.save(w);
   w.b(sending_);
   w.i64(send_vc_);
   w.i64(send_seq_);
@@ -214,7 +201,7 @@ void NetworkInterface::load(sim::SnapshotReader& r) {
     p.injected_at = static_cast<sim::Cycle>(r.u64());
     queue_.push_back(p);
   }
-  for (int& c : credits_) c = static_cast<int>(r.i64());
+  credit_view_.load(r);
   sending_ = r.b();
   send_vc_ = static_cast<int>(r.i64());
   send_seq_ = static_cast<int>(r.i64());

@@ -1,38 +1,13 @@
 #include "nbtinoc/noc/output_unit.hpp"
 
-#include <stdexcept>
-
 namespace nbtinoc::noc {
 
 OutputUnit::OutputUnit(Dir dir, const NocConfig& config, bool ejection)
     : dir_(dir),
       ejection_(ejection),
-      credits_(ejection ? 0 : static_cast<std::size_t>(config.total_vcs()), config.buffer_depth),
-      buffer_depth_(config.buffer_depth),
+      credit_view_(ejection ? 0 : config.total_vcs(), config.buffer_depth),
       va_arbiter_(static_cast<std::size_t>(config.ports_per_router() * config.total_vcs())),
       vc_select_(static_cast<std::size_t>(config.total_vcs())),
       sa_arbiter_(static_cast<std::size_t>(config.ports_per_router())) {}
-
-void OutputUnit::add_credit(int vc) {
-  if (pool_ != nullptr) {
-    pool_->uncharge(vc);
-    return;
-  }
-  int& c = credits_.at(static_cast<std::size_t>(vc));
-  if (c >= buffer_depth_) throw std::logic_error("OutputUnit::add_credit: credit overflow");
-  ++c;
-}
-
-void OutputUnit::consume_credit(int vc) {
-  if (pool_ != nullptr) {
-    if (!pool_->can_send(vc))
-      throw std::logic_error("OutputUnit::consume_credit: pool reservation check fails");
-    pool_->charge(vc);
-    return;
-  }
-  int& c = credits_.at(static_cast<std::size_t>(vc));
-  if (c <= 0) throw std::logic_error("OutputUnit::consume_credit: no credits");
-  --c;
-}
 
 }  // namespace nbtinoc::noc

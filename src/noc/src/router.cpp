@@ -22,7 +22,6 @@ Router::Router(NodeId id, const NocConfig& config, sim::StatRegistry& stats,
       h_flits_out_(stats.intern(flits_out_key_)),
       inputs_(static_cast<std::size_t>(ports_)),
       outputs_(static_cast<std::size_t>(ports_)),
-      downstream_iu_(static_cast<std::size_t>(ports_), nullptr),
       flit_out_(static_cast<std::size_t>(ports_), nullptr),
       credit_in_(static_cast<std::size_t>(ports_), nullptr),
       flit_in_(static_cast<std::size_t>(ports_), nullptr),
@@ -53,11 +52,7 @@ void Router::wire_output(Dir dir, InputUnit* downstream_iu, Channel<Flit>* flit_
                          Channel<Credit>* credit_in) {
   const auto d = static_cast<std::size_t>(dir);
   outputs_[d] = std::make_unique<OutputUnit>(dir, config_, /*ejection=*/false);
-  // Shared organization: the upstream's credit state IS the downstream
-  // pool's charge accounting (zero-skew delegation, like OutVcStateView).
-  if (downstream_iu != nullptr && downstream_iu->pool() != nullptr)
-    outputs_[d]->set_shared_pool(downstream_iu->pool());
-  downstream_iu_[d] = downstream_iu;
+  outputs_[d]->credit_view().wire(downstream_iu);
   flit_out_[d] = flit_out;
   credit_in_[d] = credit_in;
 }
@@ -243,7 +238,7 @@ void Router::va_stage(sim::Cycle now) {
     }
     auto& ou = outputs_[static_cast<std::size_t>(o)];
     if (!ou) continue;
-    InputUnit* diu = downstream_iu_[static_cast<std::size_t>(o)];
+    InputUnit* diu = ou->credit_view().downstream();
 
     // Per-(vnet, dateline class) availability of a free (awake, idle)
     // downstream VC, for each (vnet, class) a waiting head needs: a packet
@@ -330,7 +325,7 @@ void Router::sa_st_stage(sim::Cycle now) {
       const Dir out = iu->out_port(v);
       if (!is_local(out)) {
         const auto& ou = outputs_[static_cast<std::size_t>(out)];
-        if (!ou || !ou->has_credit(iu->out_vc(v))) continue;
+        if (!ou || !ou->credit_view().can_send(iu->out_vc(v))) continue;
       }
       sa_ready_.set(static_cast<std::size_t>(v));
       any = true;
@@ -375,7 +370,7 @@ void Router::sa_st_stage(sim::Cycle now) {
       stats_->add(h_flits_ejected_router_);
     } else {
       flit.vc = out_vc;
-      outputs_[static_cast<std::size_t>(out)]->consume_credit(out_vc);
+      outputs_[static_cast<std::size_t>(out)]->credit_view().send(out_vc);
       flit_out_[static_cast<std::size_t>(out)]->push(flit, now);
       stats_->add(h_flits_forwarded_);
       ++port_forwarded_[static_cast<std::size_t>(out)];  // adaptive stress signal
@@ -404,9 +399,8 @@ void Router::accept_arrivals(sim::Cycle now) {
   for (int o = 0; o < ports_; ++o) {
     Channel<Credit>* link = credit_in_[static_cast<std::size_t>(o)];
     if (link == nullptr) continue;
-    while (auto credit = link->pop_ready(now)) {
-      outputs_[static_cast<std::size_t>(o)]->add_credit(credit->vc);
-    }
+    while (auto credit = link->pop_ready(now))
+      outputs_[static_cast<std::size_t>(o)]->credit_view().receive_credit(credit->vc);
   }
 }
 

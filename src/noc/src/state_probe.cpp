@@ -133,7 +133,8 @@ void InvariantChecker::check_shared_pools(sim::Cycle cycle) {
       const Dir port = static_cast<Dir>(p);
       if (!r.has_input(port)) continue;
       const SharedBufferPool* pool = r.input(port).pool();
-      const std::string where = "r" + std::to_string(id) + ":" + dir_letter(port);
+      const std::string where =
+          std::string("r").append(std::to_string(id)).append(1, ':').append(1, dir_letter(port));
       if (pool == nullptr) {
         record(cycle, "shared organization but port " + where + " has no slot pool");
         continue;
@@ -215,71 +216,56 @@ std::size_t in_flight_for_vc(const Channel<T>* link, int vc) {
 
 void InvariantChecker::check_credit_conservation(sim::Cycle cycle) {
   const NocConfig& cfg = network_->config();
-  // Router-router links: the upstream output unit's credit view of each
-  // downstream VC, closed over both in-flight directions.
+  // One link: the upstream credit view of each downstream VC, closed over
+  // both in-flight directions. Under a shared pool the identity is
+  // charge-resident: everything the upstream charged for v is in flight on
+  // the two links or resident in v's slot chain, nothing else. `where`
+  // names the link, built only for a report.
+  const auto check_link = [&](const auto& where, const CreditView& view,
+                              const Channel<Flit>* flits, const Channel<Credit>* credits,
+                              const InputUnit& diu) {
+    for (int v = 0; v < cfg.total_vcs(); ++v) {
+      const std::size_t outstanding = in_flight_for_vc(flits, v) + in_flight_for_vc(credits, v) +
+                                      static_cast<std::size_t>(diu.vc(v).occupancy());
+      if (const SharedBufferPool* pool = diu.pool()) {
+        if (outstanding != static_cast<std::size_t>(pool->charged(v)))
+          record(cycle, "pool charge leak on " + where() + " vc" + std::to_string(v) +
+                            ": in_flight+occupancy = " + std::to_string(outstanding) +
+                            " but charged " + std::to_string(pool->charged(v)));
+      } else if (const std::size_t total = static_cast<std::size_t>(view.credits(v)) + outstanding;
+                 total != static_cast<std::size_t>(cfg.buffer_depth)) {
+        record(cycle, "credit leak on " + where() + " vc" + std::to_string(v) +
+                          ": credits+in_flight+occupancy = " + std::to_string(total) +
+                          ", expected " + std::to_string(cfg.buffer_depth));
+      }
+    }
+  };
   const Topology& topo = network_->topology();
   for (NodeId id = 0; id < network_->num_routers(); ++id) {
     const Router& r = network_->router(id);
     // Dead resources are outside the identity: their channels were cleared
-    // and their credit counters zeroed by the structural-fault drain.
+    // and their credit views blocked by the structural-fault drain.
     if (r.dead()) continue;
     for (int d = 0; d < 4; ++d) {
       const Dir dir = static_cast<Dir>(d);
       if (!r.has_output(dir) || r.downstream_input(dir) == nullptr) continue;
       if (!topo.link_alive(id, dir)) continue;
-      const InputUnit& diu = *r.downstream_input(dir);
-      for (int v = 0; v < cfg.total_vcs(); ++v) {
-        if (const SharedBufferPool* pool = diu.pool()) {
-          // Shared organization: the identity is charge-resident. Everything
-          // the upstream charged for v is in flight on the two links or
-          // resident in v's slot chain — nothing else.
-          const std::size_t total = in_flight_for_vc(r.flit_out_link(dir), v) +
-                                    in_flight_for_vc(r.credit_in_link(dir), v) +
-                                    static_cast<std::size_t>(diu.vc(v).occupancy());
-          if (total != static_cast<std::size_t>(pool->charged(v)))
-            record(cycle, "pool charge leak on r" + std::to_string(id) + " output " +
-                              to_string(dir) + " vc" + std::to_string(v) +
-                              ": in_flight+occupancy = " + std::to_string(total) +
-                              " but charged " + std::to_string(pool->charged(v)));
-          continue;
-        }
-        const std::size_t total = static_cast<std::size_t>(r.output(dir).credits(v)) +
-                                  in_flight_for_vc(r.flit_out_link(dir), v) +
-                                  in_flight_for_vc(r.credit_in_link(dir), v) +
-                                  static_cast<std::size_t>(diu.vc(v).occupancy());
-        if (total != static_cast<std::size_t>(cfg.buffer_depth))
-          record(cycle, "credit leak on r" + std::to_string(id) + " output " + to_string(dir) +
-                            " vc" + std::to_string(v) + ": credits+in_flight+occupancy = " +
-                            std::to_string(total) + ", expected " +
-                            std::to_string(cfg.buffer_depth));
-      }
+      const auto where = [&] {
+        return std::string("r").append(std::to_string(id)).append(" output ").append(to_string(dir));
+      };
+      check_link(where, r.output(dir).credit_view(), r.flit_out_link(dir), r.credit_in_link(dir),
+                 *r.downstream_input(dir));
     }
   }
   // NI injection path: same identity for each terminal's local input port.
   for (NodeId id = 0; id < network_->nodes(); ++id) {
     const NetworkInterface& ni = network_->ni(id);
     if (ni.dead()) continue;
-    const InputUnit& liu = network_->router(topo.router_of(id)).input(topo.local_port_of(id));
-    for (int v = 0; v < cfg.total_vcs(); ++v) {
-      if (const SharedBufferPool* pool = liu.pool()) {
-        const std::size_t total = in_flight_for_vc(ni.inject_link(), v) +
-                                  in_flight_for_vc(ni.credit_link(), v) +
-                                  static_cast<std::size_t>(liu.vc(v).occupancy());
-        if (total != static_cast<std::size_t>(pool->charged(v)))
-          record(cycle, "pool charge leak on NI " + std::to_string(id) + " injection path vc" +
-                            std::to_string(v) + ": in_flight+occupancy = " + std::to_string(total) +
-                            " but charged " + std::to_string(pool->charged(v)));
-        continue;
-      }
-      const std::size_t total = static_cast<std::size_t>(ni.credits(v)) +
-                                in_flight_for_vc(ni.inject_link(), v) +
-                                in_flight_for_vc(ni.credit_link(), v) +
-                                static_cast<std::size_t>(liu.vc(v).occupancy());
-      if (total != static_cast<std::size_t>(cfg.buffer_depth))
-        record(cycle, "credit leak on NI " + std::to_string(id) +
-                          " injection path vc" + std::to_string(v) + ": " + std::to_string(total) +
-                          ", expected " + std::to_string(cfg.buffer_depth));
-    }
+    const auto where = [&] {
+      return std::string("NI ").append(std::to_string(id)).append(" injection path");
+    };
+    check_link(where, ni.credit_view(), ni.inject_link(), ni.credit_link(),
+               network_->router(topo.router_of(id)).input(topo.local_port_of(id)));
   }
 }
 

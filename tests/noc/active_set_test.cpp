@@ -137,7 +137,7 @@ void router_fingerprint(const Network& net, NodeId id, Fingerprint& out) {
     // Credit views exist on cardinal outputs only (ejection is a free sink).
     if (p < kFirstLocalPort && r.has_output(port))
       for (int v = 0; v < vcs; ++v)
-        out.push_back(static_cast<std::uint64_t>(r.output(port).credits(v)));
+        out.push_back(static_cast<std::uint64_t>(r.output(port).credit_view().credits(v)));
   }
 }
 
@@ -149,7 +149,7 @@ void ni_fingerprint(const Network& net, NodeId t, Fingerprint& out) {
   out.push_back(ni.flits_injected());
   out.push_back(ni.packets_ejected());
   for (int v = 0; v < net.config().total_vcs(); ++v)
-    out.push_back(static_cast<std::uint64_t>(ni.credits(v)));
+    out.push_back(static_cast<std::uint64_t>(ni.credit_view().credits(v)));
 }
 
 /// Global movement counters — the catch-all for anything the per-component

@@ -17,29 +17,30 @@ NocConfig config(int vcs = 4, int depth = 4) {
 TEST(OutputUnit, MeshPortStartsFullCredits) {
   OutputUnit ou(Dir::East, config(4, 4), /*ejection=*/false);
   EXPECT_FALSE(ou.is_ejection());
-  for (int v = 0; v < 4; ++v) EXPECT_EQ(ou.credits(v), 4);
+  for (int v = 0; v < 4; ++v) EXPECT_EQ(ou.credit_view().credits(v), 4);
 }
 
 TEST(OutputUnit, EjectionPortHasNoCredits) {
   OutputUnit ou(Dir::Local, config(), /*ejection=*/true);
   EXPECT_TRUE(ou.is_ejection());
-  EXPECT_THROW(ou.credits(0), std::out_of_range);
+  EXPECT_THROW(ou.credit_view().credits(0), std::out_of_range);
 }
 
 TEST(OutputUnit, CreditAccounting) {
   OutputUnit ou(Dir::East, config(2, 2), false);
-  ou.consume_credit(0);
-  ou.consume_credit(0);
-  EXPECT_EQ(ou.credits(0), 0);
-  EXPECT_EQ(ou.credits(1), 2);
-  EXPECT_THROW(ou.consume_credit(0), std::logic_error);
-  ou.add_credit(0);
-  EXPECT_EQ(ou.credits(0), 1);
+  CreditView& view = ou.credit_view();
+  view.send(0);
+  view.send(0);
+  EXPECT_EQ(view.credits(0), 0);
+  EXPECT_EQ(view.credits(1), 2);
+  EXPECT_THROW(view.send(0), std::logic_error);
+  view.receive_credit(0);
+  EXPECT_EQ(view.credits(0), 1);
 }
 
 TEST(OutputUnit, CreditOverflowThrows) {
   OutputUnit ou(Dir::East, config(2, 2), false);
-  EXPECT_THROW(ou.add_credit(0), std::logic_error);  // already at depth
+  EXPECT_THROW(ou.credit_view().receive_credit(0), std::logic_error);  // already at depth
 }
 
 TEST(OutputUnit, ArbiterSizes) {

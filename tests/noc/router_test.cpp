@@ -251,10 +251,10 @@ TEST(Router, CreditsDecrementOnSendAndReturnAfterDequeue) {
     return kInvalidVc;
   }();
   ASSERT_NE(out_vc, kInvalidVc);
-  EXPECT_LT(rig.u.output(Dir::East).credits(out_vc), depth);
+  EXPECT_LT(rig.u.output(Dir::East).credit_view().credits(out_vc), depth);
   // Drain completely: credits must return to full depth.
   for (; t < 40; ++t) rig.step_routers(t);
-  EXPECT_EQ(rig.u.output(Dir::East).credits(out_vc), depth);
+  EXPECT_EQ(rig.u.output(Dir::East).credit_view().credits(out_vc), depth);
 }
 
 TEST(Router, TailFreesBothEnds) {
