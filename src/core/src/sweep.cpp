@@ -57,27 +57,26 @@ std::string SweepResult::to_json() const {
 }
 
 std::string SweepResult::to_csv() const {
-  std::string out =
-      "index,label,scenario,policy,mesh_width,mesh_height,num_vcs,injection_rate,"
-      "packets_offered,flits_injected,flits_ejected,packets_ejected,avg_packet_latency,"
-      "throughput_flits_per_cycle_per_node,total_gate_transitions,wall_seconds\n";
+  util::Table table({"index", "label", "scenario", "policy", "mesh_width", "mesh_height",
+                     "num_vcs", "injection_rate", "packets_offered", "flits_injected",
+                     "flits_ejected", "packets_ejected", "avg_packet_latency",
+                     "throughput_flits_per_cycle_per_node", "total_gate_transitions",
+                     "wall_seconds"});
   for (std::size_t i = 0; i < points_.size(); ++i) {
     const auto& p = points_[i];
     const auto& s = p.result.scenario;
-    out += std::to_string(i) + ',' + p.point.label + ',' + s.name + ',' +
-           to_string(p.result.policy) + ',' + std::to_string(s.mesh_width) + ',' +
-           std::to_string(s.mesh_height) + ',' + std::to_string(s.num_vcs) + ',' +
-           util::format_double(s.injection_rate, 4) + ',' +
-           std::to_string(p.result.packets_offered) + ',' +
-           std::to_string(p.result.flits_injected) + ',' +
-           std::to_string(p.result.flits_ejected) + ',' +
-           std::to_string(p.result.packets_ejected) + ',' +
-           util::format_double(p.result.avg_packet_latency, 4) + ',' +
-           util::format_double(p.result.throughput_flits_per_cycle_per_node, 6) + ',' +
-           std::to_string(p.result.total_gate_transitions) + ',' +
-           util::format_double(p.wall_seconds, 4) + '\n';
+    table.add_row({std::to_string(i), p.point.label, s.name, to_string(p.result.policy),
+                   std::to_string(s.mesh_width), std::to_string(s.mesh_height),
+                   std::to_string(s.num_vcs), util::format_double(s.injection_rate, 4),
+                   std::to_string(p.result.packets_offered),
+                   std::to_string(p.result.flits_injected), std::to_string(p.result.flits_ejected),
+                   std::to_string(p.result.packets_ejected),
+                   util::format_double(p.result.avg_packet_latency, 4),
+                   util::format_double(p.result.throughput_flits_per_cycle_per_node, 6),
+                   std::to_string(p.result.total_gate_transitions),
+                   util::format_double(p.wall_seconds, 4)});
   }
-  return out;
+  return table.to_csv();
 }
 
 void SweepResult::write_csv(const std::string& path) const {

@@ -24,6 +24,10 @@ class CsvWriter {
   std::string path_;
 };
 
+/// One record: each cell quoted when it holds ',', '"' or '\n' (quotes
+/// doubled), joined by commas, without the terminator.
+std::string format_csv_row(const std::vector<std::string>& cells);
+
 /// Parses one CSV line honoring quotes. Exposed for testing.
 std::vector<std::string> parse_csv_line(const std::string& line);
 

@@ -5,12 +5,8 @@
 namespace nbtinoc::util {
 
 namespace {
-bool needs_quoting(const std::string& cell) {
-  return cell.find_first_of(",\"\n") != std::string::npos;
-}
-
 std::string quoted(const std::string& cell) {
-  if (!needs_quoting(cell)) return cell;
+  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
   std::string out = "\"";
   for (char c : cell) {
     if (c == '"') out += "\"\"";
@@ -21,6 +17,15 @@ std::string quoted(const std::string& cell) {
 }
 }  // namespace
 
+std::string format_csv_row(const std::vector<std::string>& cells) {
+  std::string out;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (i > 0) out += ',';
+    out += quoted(cells[i]);
+  }
+  return out;
+}
+
 CsvWriter::CsvWriter(const std::string& path) : out_(path), path_(path) {
   if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
 }
@@ -28,13 +33,8 @@ CsvWriter::CsvWriter(const std::string& path) : out_(path), path_(path) {
 void CsvWriter::write_comment(const std::string& text) { out_ << "# " << text << '\n'; }
 
 void CsvWriter::write_row(const std::vector<std::string>& cells) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    out_ << quoted(cells[i]);
-    if (i + 1 < cells.size()) out_ << ',';
-  }
-  out_ << '\n';
+  out_ << format_csv_row(cells) << '\n';
 }
-
 
 std::vector<std::string> parse_csv_line(const std::string& line) {
   std::vector<std::string> cells;

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "nbtinoc/util/csv.hpp"
+
 namespace nbtinoc::util {
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {
@@ -84,36 +86,11 @@ std::string Table::to_text() const {
   return out;
 }
 
-namespace {
-std::string csv_escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (char c : cell) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += '"';
-  return out;
-}
-}  // namespace
-
 std::string Table::to_csv() const {
-  std::string out;
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    out += csv_escape(headers_[c]);
-    if (c + 1 < headers_.size()) out += ',';
-  }
-  out += '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      out += csv_escape(row[c]);
-      if (c + 1 < row.size()) out += ',';
-    }
-    out += '\n';
-  }
+  std::string out = format_csv_row(headers_) + '\n';
+  for (const auto& row : rows_) out += format_csv_row(row) + '\n';
   return out;
 }
-
 
 std::string format_double(double value, int decimals) {
   char buf[64];

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "nbtinoc/core/sweep.hpp"
+#include "nbtinoc/util/csv.hpp"
 
 namespace nbtinoc::core {
 namespace {
@@ -220,6 +221,22 @@ TEST(SweepResult, JsonAndCsvExportCoverEveryPoint) {
   EXPECT_EQ(rows, 3u);  // header + 2 points
   EXPECT_NE(csv.find("pt-a"), std::string::npos);
   EXPECT_NE(csv.find("rr-no-sensor"), std::string::npos);
+}
+
+TEST(SweepResult, CsvQuotesLabelsAndScenarioNames) {
+  // A label or scenario name holding the separator or a quote comes back
+  // whole: one cell each, as many cells as the header.
+  SweepPointResult point;
+  point.point.label = "a,b";
+  point.result.scenario.name = "say \"hi\", twice";
+  const std::string csv = SweepResult({point}).to_csv();
+  const std::size_t header_end = csv.find('\n');
+  const std::vector<std::string> header = util::parse_csv_line(csv.substr(0, header_end));
+  const std::vector<std::string> row =
+      util::parse_csv_line(csv.substr(header_end + 1, csv.size() - header_end - 2));
+  ASSERT_EQ(row.size(), header.size()) << csv;
+  EXPECT_EQ(row[1], "a,b");
+  EXPECT_EQ(row[2], "say \"hi\", twice");
 }
 
 }  // namespace
