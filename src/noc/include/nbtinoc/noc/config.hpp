@@ -40,7 +40,8 @@ std::string to_string(RoutingAlgo algo);
 ///                       way around and a dateline VC-class split keeps the
 ///                       wrap cycles deadlock-free (needs >= 2 VCs/vnet).
 ///  - kRing:             all width*height tiles on one bidirectional ring
-///                       (row-major order), same dateline scheme.
+///                       (row-major order): the torus on a (width*height) x 1
+///                       link grid; die positions stay on width x height.
 ///  - kConcentratedMesh: `concentration` NIs share one router; routers form
 ///                       a (width/concentration) x height mesh and carry
 ///                       one local port per attached tile.

@@ -13,8 +13,9 @@
 // once at construction: the hot path (Router::accept_arrivals) replaces the
 // old per-flit route_compute() arithmetic with one indexed load. Each entry
 // carries the output port at this router *and* the dateline VC class the
-// packet must be allocated at the downstream input — the torus/ring
-// deadlock-avoidance scheme:
+// packet must be allocated at the downstream input — the torus
+// deadlock-avoidance scheme, which the ring shares by being the one-row
+// torus:
 //
 //   Each dimension has its own dateline, and a VC's class refers to the
 //   dimension of the link it terminates (Dally-Seitz): a packet is class 0
@@ -74,7 +75,6 @@ class Topology {
   int num_routers() const { return num_routers_; }
   int num_terminals() const { return num_terminals_; }
   int ports_per_router() const { return ports_per_router_; }
-  int concentration() const { return concentration_; }
   /// Dateline VC classes per vnet (1 = no restriction, the mesh case).
   int num_vc_classes() const { return config_.vc_classes(); }
 
@@ -151,15 +151,11 @@ class Topology {
   /// first kill.
   const DegradedRouting* degraded_routing() const { return degraded_routing_.get(); }
 
-  /// Minimal router-to-router hop count between two terminals' routers
-  /// (0 when they share a router). The route-table walk bound.
-  virtual int hop_distance(NodeId src_terminal, NodeId dst_terminal) const = 0;
-
   /// Die position of a router, normalized to [0,1] per axis — the process-
   /// variation gradient coordinates. Every fabric lays its routers out
   /// row-major on the (width/concentration) x height router grid (the ring
-  /// included: only its links differ), so this is x/(columns-1),
-  /// y/(height-1) there, and 0 on an axis with one router.
+  /// included: only its links run on another grid), so this is
+  /// x/(columns-1), y/(height-1) there, and 0 on an axis with one router.
   double norm_x(NodeId router) const;
   double norm_y(NodeId router) const;
 
@@ -176,12 +172,7 @@ class Topology {
   /// travels over a link in `link_dir`'s dimension — the incoming link for
   /// route-table entries, the first outgoing link for injection classes.
   /// Single-class topologies return 0.
-  virtual int compute_vc_class(NodeId router, NodeId dst_terminal, Dir link_dir) const {
-    (void)router;
-    (void)dst_terminal;
-    (void)link_dir;
-    return 0;
-  }
+  virtual int compute_vc_class(NodeId router, NodeId dst_terminal, Dir link_dir) const = 0;
 
   /// Fills every table from the compute_* answers. Called once by each
   /// concrete constructor (the virtuals are unusable during base
@@ -222,8 +213,6 @@ class Topology {
 class Mesh2D final : public Topology {
  public:
   explicit Mesh2D(const NocConfig& config);
-  /// Manhattan distance on the router grid.
-  int hop_distance(NodeId src_terminal, NodeId dst_terminal) const override;
 
  protected:
   NodeId compute_neighbor(NodeId router, Dir d) const override;
@@ -236,31 +225,24 @@ class Mesh2D final : public Topology {
   int compute_vc_class(NodeId router, NodeId dst_terminal, Dir link_dir) const override;
 };
 
-/// Mesh plus wrap links in both dimensions; DOR takes the shorter way
-/// around each dimension (ties go East/South) with dateline classes.
+/// Mesh plus wrap links in both dimensions of a `width` x `height` link
+/// grid; DOR takes the shorter way around each dimension (ties go
+/// East/South) with dateline classes. A dimension of one router gets no wrap
+/// link. Topology::create builds "torus" on the tile grid and "ring" on the
+/// (width*height) x 1 grid: all tiles on one bidirectional ring in
+/// row-major order, N/S ports unwired, YX routing moot.
 class Torus2D final : public Topology {
  public:
-  explicit Torus2D(const NocConfig& config);
-  int hop_distance(NodeId src_terminal, NodeId dst_terminal) const override;
+  Torus2D(const NocConfig& config, int width, int height);
 
  protected:
   NodeId compute_neighbor(NodeId router, Dir d) const override;
   Dir compute_port(NodeId router, NodeId dst_terminal) const override;
   int compute_vc_class(NodeId router, NodeId dst_terminal, Dir link_dir) const override;
-};
 
-/// All width*height tiles on one bidirectional ring in row-major order,
-/// using only the East/West ports (N/S stay unwired, like mesh edges).
-/// Shortest-way routing with the torus's dateline scheme in one dimension.
-class Ring final : public Topology {
- public:
-  explicit Ring(const NocConfig& config);
-  int hop_distance(NodeId src_terminal, NodeId dst_terminal) const override;
-
- protected:
-  NodeId compute_neighbor(NodeId router, Dir d) const override;
-  Dir compute_port(NodeId router, NodeId dst_terminal) const override;
-  int compute_vc_class(NodeId router, NodeId dst_terminal, Dir link_dir) const override;
+ private:
+  int width_;   ///< link-grid columns
+  int height_;  ///< link-grid rows
 };
 
 }  // namespace nbtinoc::noc

@@ -1,6 +1,5 @@
 #include "nbtinoc/noc/topology.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "nbtinoc/noc/fault_routing.hpp"
@@ -176,9 +175,10 @@ std::unique_ptr<Topology> Topology::create(const NocConfig& config) {
     case TopologyKind::kConcentratedMesh:
       return std::make_unique<Mesh2D>(config);
     case TopologyKind::kTorus2D:
-      return std::make_unique<Torus2D>(config);
+      return std::make_unique<Torus2D>(config, config.width, config.height);
     case TopologyKind::kRing:
-      return std::make_unique<Ring>(config);
+      // The one-row torus; norm_x/norm_y keep the W x H die layout.
+      return std::make_unique<Torus2D>(config, config.width * config.height, 1);
   }
   throw std::invalid_argument("Topology::create: bad TopologyKind");
 }
@@ -214,10 +214,6 @@ int Mesh2D::compute_vc_class(NodeId router, NodeId dst_terminal, Dir link_dir) c
   return c.x == d.x || c.y == d.y ? 0 : 1;
 }
 
-int Mesh2D::hop_distance(NodeId src_terminal, NodeId dst_terminal) const {
-  return noc::hop_distance(router_of(src_terminal), router_of(dst_terminal), router_width_);
-}
-
 // --- Torus2D -----------------------------------------------------------------
 
 namespace {
@@ -229,40 +225,46 @@ int wrap_delta(int a, int b, int n) { return (b - a + n) % n; }
 bool go_forward(int delta, int n) { return 2 * delta <= n; }
 }  // namespace
 
-Torus2D::Torus2D(const NocConfig& config) : Topology(config) { build_tables(); }
+Torus2D::Torus2D(const NocConfig& config, int width, int height)
+    : Topology(config), width_(width), height_(height) {
+  build_tables();
+}
 
 NodeId Torus2D::compute_neighbor(NodeId router, Dir d) const {
-  Coord c = coord_of(router, config_.width);
+  Coord c = coord_of(router, width_);
   switch (d) {
     case Dir::North:
-      c.y = (c.y - 1 + config_.height) % config_.height;
+      c.y = (c.y - 1 + height_) % height_;
       break;
     case Dir::South:
-      c.y = (c.y + 1) % config_.height;
+      c.y = (c.y + 1) % height_;
       break;
     case Dir::East:
-      c.x = (c.x + 1) % config_.width;
+      c.x = (c.x + 1) % width_;
       break;
     case Dir::West:
-      c.x = (c.x - 1 + config_.width) % config_.width;
+      c.x = (c.x - 1 + width_) % width_;
       break;
     default:
       return kInvalidNode;
   }
-  return id_of(c, config_.width);
+  // A dimension of one router has no wrap link: the ring's N/S ports stay
+  // unwired, like mesh edges.
+  const NodeId v = id_of(c, width_);
+  return v == router ? kInvalidNode : v;
 }
 
 Dir Torus2D::compute_port(NodeId router, NodeId dst_terminal) const {
-  const Coord c = coord_of(router, config_.width);
-  const Coord d = coord_of(dst_terminal, config_.width);
+  const Coord c = coord_of(router, width_);
+  const Coord d = coord_of(dst_terminal, width_);
   if (c == d) return Dir::Local;
   const auto x_port = [&] {
-    const int east = wrap_delta(c.x, d.x, config_.width);
-    return go_forward(east, config_.width) ? Dir::East : Dir::West;
+    const int east = wrap_delta(c.x, d.x, width_);
+    return go_forward(east, width_) ? Dir::East : Dir::West;
   };
   const auto y_port = [&] {
-    const int south = wrap_delta(c.y, d.y, config_.height);
-    return go_forward(south, config_.height) ? Dir::South : Dir::North;
+    const int south = wrap_delta(c.y, d.y, height_);
+    return go_forward(south, height_) ? Dir::South : Dir::North;
   };
   if (config_.routing == RoutingAlgo::kXY) return c.x != d.x ? x_port() : y_port();
   return c.y != d.y ? y_port() : x_port();
@@ -276,70 +278,19 @@ int Torus2D::compute_vc_class(NodeId router, NodeId dst_terminal, Dir link_dir) 
   // left (the conflation that would close a dependency cycle). Heading East
   // the path wraps iff x > dst.x, West iff x < dst.x; South iff y > dst.y,
   // North iff y < dst.y.
-  const Coord c = coord_of(router, config_.width);
-  const Coord d = coord_of(dst_terminal, config_.width);
+  const Coord c = coord_of(router, width_);
+  const Coord d = coord_of(dst_terminal, width_);
   if (link_dir == Dir::East || link_dir == Dir::West) {
     if (c.x == d.x) return 1;  // x traversal done
-    const int east = wrap_delta(c.x, d.x, config_.width);
-    return go_forward(east, config_.width) ? (c.x > d.x ? 0 : 1) : (c.x < d.x ? 0 : 1);
+    const int east = wrap_delta(c.x, d.x, width_);
+    return go_forward(east, width_) ? (c.x > d.x ? 0 : 1) : (c.x < d.x ? 0 : 1);
   }
   if (link_dir == Dir::North || link_dir == Dir::South) {
     if (c.y == d.y) return 1;  // y traversal done
-    const int south = wrap_delta(c.y, d.y, config_.height);
-    return go_forward(south, config_.height) ? (c.y > d.y ? 0 : 1) : (c.y < d.y ? 0 : 1);
+    const int south = wrap_delta(c.y, d.y, height_);
+    return go_forward(south, height_) ? (c.y > d.y ? 0 : 1) : (c.y < d.y ? 0 : 1);
   }
   return 1;  // injecting a packet that ejects at its own router
-}
-
-int Torus2D::hop_distance(NodeId src_terminal, NodeId dst_terminal) const {
-  const Coord a = coord_of(src_terminal, config_.width);
-  const Coord b = coord_of(dst_terminal, config_.width);
-  const int dx = wrap_delta(a.x, b.x, config_.width);
-  const int dy = wrap_delta(a.y, b.y, config_.height);
-  return std::min(dx, config_.width - dx) + std::min(dy, config_.height - dy);
-}
-
-// --- Ring --------------------------------------------------------------------
-
-Ring::Ring(const NocConfig& config) : Topology(config) { build_tables(); }
-
-NodeId Ring::compute_neighbor(NodeId router, Dir d) const {
-  const int n = num_routers_;
-  switch (d) {
-    case Dir::East:
-      return (router + 1) % n;
-    case Dir::West:
-      return (router - 1 + n) % n;
-    default:
-      return kInvalidNode;  // N/S stay unwired, like mesh edges
-  }
-}
-
-Dir Ring::compute_port(NodeId router, NodeId dst_terminal) const {
-  if (router == dst_terminal) return Dir::Local;
-  const int east = wrap_delta(router, dst_terminal, num_routers_);
-  return go_forward(east, num_routers_) ? Dir::East : Dir::West;
-}
-
-int Ring::compute_vc_class(NodeId router, NodeId dst_terminal, Dir link_dir) const {
-  // One-dimensional dateline: the wrap link sits between the last and first
-  // ring index, so an eastbound path wraps iff index > dst, a westbound one
-  // iff index < dst. There is no second dimension to turn into, so the
-  // link_dir's dimension is always the travel dimension.
-  (void)link_dir;
-  switch (compute_port(router, dst_terminal)) {
-    case Dir::East:
-      return router > dst_terminal ? 0 : 1;
-    case Dir::West:
-      return router < dst_terminal ? 0 : 1;
-    default:
-      return 1;
-  }
-}
-
-int Ring::hop_distance(NodeId src_terminal, NodeId dst_terminal) const {
-  const int forward = wrap_delta(src_terminal, dst_terminal, num_routers_);
-  return std::min(forward, num_routers_ - forward);
 }
 
 }  // namespace nbtinoc::noc

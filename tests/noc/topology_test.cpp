@@ -46,7 +46,9 @@ NocConfig config_of(const TopoCase& tc) {
 }
 
 // The size grid: every topology over several shapes, both DOR orders where
-// the order matters (the ring routes in one dimension).
+// the order matters. The ring routes in one dimension, so it must ignore YX;
+// its shapes include a column (1x5), which runs on the same one-row link
+// grid as a row.
 const TopoCase kCases[] = {
     {"mesh", 2, 2, 1, RoutingAlgo::kXY},  {"mesh", 4, 4, 1, RoutingAlgo::kXY},
     {"mesh", 3, 5, 1, RoutingAlgo::kYX},  {"mesh", 5, 3, 1, RoutingAlgo::kXY},
@@ -56,6 +58,7 @@ const TopoCase kCases[] = {
     {"torus", 2, 5, 1, RoutingAlgo::kXY}, {"torus", 5, 2, 1, RoutingAlgo::kYX},
     {"ring", 2, 1, 1, RoutingAlgo::kXY},  {"ring", 3, 1, 1, RoutingAlgo::kXY},
     {"ring", 4, 2, 1, RoutingAlgo::kXY},  {"ring", 4, 4, 1, RoutingAlgo::kXY},
+    {"ring", 1, 5, 1, RoutingAlgo::kYX},  {"ring", 5, 3, 1, RoutingAlgo::kYX},
     {"cmesh", 4, 4, 2, RoutingAlgo::kXY}, {"cmesh", 4, 4, 2, RoutingAlgo::kYX},
     {"cmesh", 4, 2, 4, RoutingAlgo::kXY}, {"cmesh", 6, 3, 3, RoutingAlgo::kXY},
     {"cmesh", 4, 4, 1, RoutingAlgo::kXY},
@@ -63,16 +66,38 @@ const TopoCase kCases[] = {
 
 class TopologyTest : public ::testing::TestWithParam<TopoCase> {};
 
+// Minimal hop counts from router `from` to every router, by breadth-first
+// search over the wired ports: an oracle that does not read the route
+// tables under test.
+std::vector<int> bfs_hops(const Topology& topo, NodeId from) {
+  std::vector<int> hops(static_cast<std::size_t>(topo.num_routers()), -1);
+  std::vector<NodeId> queue{from};
+  hops[static_cast<std::size_t>(from)] = 0;
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    const NodeId r = queue[i];
+    for (int d = 0; d < 4; ++d) {
+      const NodeId v = topo.neighbor(r, static_cast<Dir>(d));
+      if (v == kInvalidNode || hops[static_cast<std::size_t>(v)] >= 0) continue;
+      hops[static_cast<std::size_t>(v)] = hops[static_cast<std::size_t>(r)] + 1;
+      queue.push_back(v);
+    }
+  }
+  return hops;
+}
+
 // Every (src, dst) pair: following the route table from src's router must
-// reach dst's router in exactly hop_distance() hops and eject through the
-// local port wired to dst — no livelock, no misroute, on any topology.
+// reach dst's router in exactly the minimal (BFS) hop count and eject
+// through the local port wired to dst — no livelock, no misroute, on any
+// topology.
 TEST_P(TopologyTest, RouteTableWalksEveryPairToItsDestination) {
   const NocConfig config = config_of(GetParam());
   const auto topo = Topology::create(config);
   const int classes = topo->num_vc_classes();
   for (NodeId src = 0; src < topo->num_terminals(); ++src) {
+    const std::vector<int> minimal = bfs_hops(*topo, topo->router_of(src));
     for (NodeId dst = 0; dst < topo->num_terminals(); ++dst) {
-      const int bound = topo->hop_distance(src, dst);
+      const int bound = minimal[static_cast<std::size_t>(topo->router_of(dst))];
+      ASSERT_GE(bound, 0) << "router of dst " << dst << " is unreachable from src " << src;
       NodeId r = topo->router_of(src);
       int hops = 0;
       while (true) {
