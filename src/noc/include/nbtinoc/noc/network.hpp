@@ -127,7 +127,7 @@ class Network {
   std::vector<double> duty_cycles_percent(NodeId node, Dir input_port) const;
 
   /// Conservation check: all flits accepted by NIs were eventually ejected
-  /// or are still somewhere in flight. True when nothing is in flight.
+  /// or are still somewhere in flight. True when flits_resident() is zero.
   bool drained() const;
 
   // --- structural (data-plane) faults ----------------------------------------

@@ -977,18 +977,6 @@ void Network::load_state(sim::SnapshotReader& r) {
   if (injector_ != nullptr) injector_->load(r);
 }
 
-bool Network::drained() const {
-  for (const auto& link : flit_channels_)
-    if (!link->empty()) return false;
-  for (const auto& r : routers_) {
-    for (int p = 0; p < r->num_ports(); ++p) {
-      const Dir port = static_cast<Dir>(p);
-      if (!r->has_input(port)) continue;
-      for (int v = 0; v < config_.total_vcs(); ++v)
-        if (!r->input(port).vc(v).empty()) return false;
-    }
-  }
-  return true;
-}
+bool Network::drained() const { return flits_resident() == 0; }
 
 }  // namespace nbtinoc::noc

@@ -244,8 +244,6 @@ Scenario scenario_from_properties(const std::map<std::string, std::string>& prop
   s.injection_rate = util::get_double_or(props, "injection_rate", s.injection_rate);
   s.wakeup_latency = get_cycles("wakeup_latency", 0);
   s.router_stages = get_int("router_stages", s.router_stages);
-  if (s.router_stages < 3)
-    throw std::invalid_argument("scenario_from_properties: router_stages must be >= 3");
   s.warmup_cycles = get_cycles("warmup_cycles", s.warmup_cycles);
   s.measure_cycles = get_cycles("measure_cycles", s.measure_cycles);
   const double ghz = util::get_double_or(props, "clock_ghz", 1.0);
