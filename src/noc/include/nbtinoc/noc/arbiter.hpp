@@ -30,6 +30,7 @@ class RequestSet {
     for (auto& w : words_) w = 0;
   }
   void set(std::size_t i) { words_[i >> 6] |= std::uint64_t{1} << (i & 63); }
+  void reset(std::size_t i) { words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63)); }
   bool test(std::size_t i) const {
     return (words_[i >> 6] >> (i & 63)) & std::uint64_t{1};
   }

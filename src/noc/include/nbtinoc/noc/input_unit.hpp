@@ -39,7 +39,9 @@ class InputUnit {
         trackers_(std::move(other.trackers_)),
         sa_arbiter_(std::move(other.sa_arbiter_)),
         busy_vcs_(other.busy_vcs_),
-        gated_vcs_(other.gated_vcs_) {
+        gated_vcs_(other.gated_vcs_),
+        pending_va_(std::move(other.pending_va_)),
+        routed_(std::move(other.routed_)) {
     // The pool lives on the heap, so descriptor/tracker pointers into it
     // survive the move untouched; only pointers into *this* need rebinding.
     for (std::size_t i = 0; i < vcs_.size(); ++i) {
@@ -101,6 +103,7 @@ class InputUnit {
   /// clears its downstream allocation. Returns the flits dropped.
   int purge_vc(int i) {
     clear_output(i);
+    pending_va_.reset(static_cast<std::size_t>(i));
     return vc(i).purge();
   }
 
@@ -108,7 +111,22 @@ class InputUnit {
   /// the "new packet" notion of is_new_traffic_outport_x(). The owning
   /// router files these heads by output port in its VA request matrix,
   /// which both VA and the downstream gating decisions read.
-  bool waiting_for_va(int i, sim::Cycle now) const;
+  bool waiting_for_va(int i, sim::Cycle now) const {
+    return holds_unassigned_head(i) && flit_eligible(vc(i).front(), now);
+  }
+  /// waiting_for_va without the pipeline-age test: vc i is Active and its
+  /// front is a head with no output VC. Recounted from the VC state, so it
+  /// is the reference for pending_va().
+  bool holds_unassigned_head(int i) const;
+
+  // --- work masks: one bit per VC, kept by the events that change them, so
+  //     the router's VA and SA visit only the VCs with work ------------------
+  /// VCs whose front is a routed head with no output VC: set by
+  /// receive_flit on a head, cleared by assign_output and purge_vc.
+  const RequestSet& pending_va() const { return pending_va_; }
+  /// VCs holding an output allocation (has_output): set by assign_output,
+  /// cleared by clear_output and purge_vc.
+  const RequestSet& routed() const { return routed_; }
 
   // --- datapath --------------------------------------------------------------
   /// Buffer write (+ RC on head flits). `route` / `next_class` are the
@@ -153,7 +171,8 @@ class InputUnit {
 
   // --- checkpoint/restore ----------------------------------------------------
   /// Buffers (busy/gated counters rebuilt by their loads), downstream
-  /// allocations, stress accumulators and the SA fairness pointer.
+  /// allocations, stress accumulators and the SA fairness pointer. The work
+  /// masks are rebuilt from the loaded VC state.
   void save(sim::SnapshotWriter& w) const {
     for (const auto& v : vcs_) v.save(w);
     for (int ov : out_vc_) w.i64(ov);
@@ -169,6 +188,12 @@ class InputUnit {
     trackers_.load(r);
     sa_arbiter_.set_pointer(static_cast<std::size_t>(r.u64()));
     if (pool_ != nullptr) pool_->load(r);
+    pending_va_.clear();
+    routed_.clear();
+    for (int i = 0; i < num_vcs(); ++i) {
+      if (holds_unassigned_head(i)) pending_va_.set(static_cast<std::size_t>(i));
+      if (has_output(i)) routed_.set(static_cast<std::size_t>(i));
+    }
   }
 
  private:
@@ -185,6 +210,8 @@ class InputUnit {
   RoundRobinArbiter sa_arbiter_;
   int busy_vcs_ = 0;
   int gated_vcs_ = 0;
+  RequestSet pending_va_;
+  RequestSet routed_;
 };
 
 // OutVcStateView's accessors, inline here where InputUnit is complete: the

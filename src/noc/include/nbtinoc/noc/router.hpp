@@ -211,7 +211,8 @@ class Router {
 
   /// The VA request matrix of cycle va_matrix_at_: per output port, the
   /// flattened (input port, VC) set of heads waiting for VA toward it, and
-  /// per (output port, vnet, class) whether any such head exists. Built by
+  /// per (output port, vnet, class) whether any such head exists. Built from
+  /// each input unit's pending_va mask (the eligible heads among it) by
   /// the first read for that cycle, which may come one cycle early: the
   /// active-set retire pass reads a busy router's rows for now + 1 once every
   /// stage of cycle now has written its inputs. From that read through the
@@ -234,7 +235,8 @@ class Router {
   RequestSet va_requests_;     ///< VA requests of one output whose (vnet, class) has a free VC
   RequestSet vnet_has_free_;   ///< per-(vnet, class) free-downstream-VC flags
   RequestSet sa_ready_;        ///< per-VC SA readiness of one input port
-  RequestSet sa_port_requests_;  ///< per-input-port SA requests
+  std::vector<RequestSet> sa_requests_;  ///< per output port: the input ports nominating it
+  RequestSet sa_outputs_;      ///< output ports with a non-empty sa_requests_ row
   std::vector<int> sa_candidate_;  ///< per-input-port nominated VC (phase 1)
 };
 

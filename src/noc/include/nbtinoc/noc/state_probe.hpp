@@ -66,10 +66,13 @@ class PortStateProbe {
 ///      accountably dropped by structural-fault drains (self-resyncs
 ///      across StatRegistry resets such as the warmup fence);
 ///   4. no deadlock: whenever flits are resident, some global movement
-///      counter must advance within `deadlock_threshold` cycles.
+///      counter must advance within `deadlock_threshold` cycles;
+///   5. every input unit's work masks (InputUnit::pending_va, routed), which
+///      VA and SA read instead of scanning, match a recount from its VC
+///      states.
 ///
 /// Under the active-set scheduler (Network::scheduler_mode() ==
-/// SchedulerMode::kActiveSet) a fifth audit runs: every *parked* component
+/// SchedulerMode::kActiveSet) a sixth audit runs: every *parked* component
 /// (absent from the next cycle's active set) must be provably idle — no
 /// busy input VC, gating at its fixed point, and no inbound link payload
 /// deliverable soon enough that skipping the component could change
@@ -109,6 +112,9 @@ class InvariantChecker {
  private:
   void record(sim::Cycle cycle, std::string what);
   void check_gated_buffers(sim::Cycle cycle);
+  /// Every input unit's work masks (pending_va, routed) against a recount
+  /// from its VC states.
+  void check_work_masks(sim::Cycle cycle);
   /// Shared organization only: per-port slot conservation (free + occupied
   /// + gated + waking == pool size, recounted from the slot states), the
   /// occupied count against the per-VC chain census, and the overcommit

@@ -17,7 +17,9 @@ InputUnit::InputUnit(Dir dir, const NocConfig& config)
       out_vc_(static_cast<std::size_t>(config.total_vcs()), kInvalidVc),
       out_port_(static_cast<std::size_t>(config.total_vcs()), Dir::Local),
       trackers_(static_cast<std::size_t>(config.buffers_per_port())),
-      sa_arbiter_(static_cast<std::size_t>(config.total_vcs())) {
+      sa_arbiter_(static_cast<std::size_t>(config.total_vcs())),
+      pending_va_(static_cast<std::size_t>(config.total_vcs())),
+      routed_(static_cast<std::size_t>(config.total_vcs())) {
   // Event-driven NBTI accounting: each gateable unit (VC buffer, or pool
   // slot under the shared organization) reports its gate/wake transitions
   // straight to its tracker. The banks are sized once here and never
@@ -38,20 +40,22 @@ InputUnit::InputUnit(Dir dir, const NocConfig& config)
 void InputUnit::assign_output(int i, Dir port, int downstream_vc) {
   out_vc_.at(static_cast<std::size_t>(i)) = downstream_vc;
   out_port_.at(static_cast<std::size_t>(i)) = port;
+  pending_va_.reset(static_cast<std::size_t>(i));
+  routed_.set(static_cast<std::size_t>(i));
 }
 
 void InputUnit::clear_output(int i) {
   out_vc_.at(static_cast<std::size_t>(i)) = kInvalidVc;
   out_port_.at(static_cast<std::size_t>(i)) = Dir::Local;
+  routed_.reset(static_cast<std::size_t>(i));
 }
 
-bool InputUnit::waiting_for_va(int i, sim::Cycle now) const {
+bool InputUnit::holds_unassigned_head(int i) const {
   const VcBuffer& buf = vc(i);
   if (!buf.is_active() || buf.empty() || has_output(i)) return false;
-  const Flit& front = buf.front();
-  // Head at the front, already buffer-written (BW stage completed strictly
-  // before this cycle, plus any extra pipeline depth), RC result stored.
-  return is_head(front.type) && flit_eligible(front, now);
+  // Head at the front, RC result stored; whether its buffer write (plus any
+  // extra pipeline depth) has completed is waiting_for_va's question.
+  return is_head(buf.front().type);
 }
 
 void InputUnit::receive_flit(const Flit& flit, Dir route, int next_class, sim::Cycle now) {
@@ -65,6 +69,8 @@ void InputUnit::receive_flit(const Flit& flit, Dir route, int next_class, sim::C
     buf.set_next_class(next_class);
   }
   buf.push(stored);
+  // A packet's head is the first flit into its VC, so it lands at the front.
+  if (is_head(flit.type)) pending_va_.set(static_cast<std::size_t>(flit.vc));
 }
 
 void InputUnit::apply_gate_command(const GateCommand& cmd, sim::Cycle now,

@@ -1,6 +1,5 @@
 #include "nbtinoc/noc/router.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "nbtinoc/noc/fault_routing.hpp"
@@ -36,7 +35,8 @@ Router::Router(NodeId id, const NocConfig& config, sim::StatRegistry& stats,
       va_requests_(static_cast<std::size_t>(ports_ * config.total_vcs())),
       vnet_has_free_(static_cast<std::size_t>(config.num_vnets * config.vc_classes())),
       sa_ready_(static_cast<std::size_t>(config.total_vcs())),
-      sa_port_requests_(static_cast<std::size_t>(ports_)),
+      sa_requests_(static_cast<std::size_t>(ports_), RequestSet(static_cast<std::size_t>(ports_))),
+      sa_outputs_(static_cast<std::size_t>(ports_)),
       sa_candidate_(static_cast<std::size_t>(ports_), kInvalidVc) {
   // The local (NI-facing) ports always exist; mesh-facing ports are created
   // lazily by wiring, so edge routers carry no dead buffers.
@@ -152,21 +152,16 @@ void Router::reroute_waiting_heads(sim::Cycle now) {
   (void)now;
   if (dead_) return;
   invalidate_va_matrix();
-  const int num_vcs = config_.total_vcs();
   for (int p = 0; p < ports_; ++p) {
     const auto& iu = inputs_[static_cast<std::size_t>(p)];
     if (!iu) continue;
-    if (iu->busy_vcs() == 0) continue;
-    for (int v = 0; v < num_vcs; ++v) {
-      VcBuffer& buf = iu->vc(v);
-      if (!buf.is_active() || buf.empty() || iu->has_output(v)) continue;
-      const Flit& front = buf.front();
-      if (!is_head(front.type)) continue;
-      const RouteEntry entry = route_for(static_cast<Dir>(p), front);
-      if (!entry.reachable()) continue;  // doomed packets were purged already
+    iu->pending_va().for_each([&](std::size_t v) {
+      VcBuffer& buf = iu->vc(static_cast<int>(v));
+      const RouteEntry entry = route_for(static_cast<Dir>(p), buf.front());
+      if (!entry.reachable()) return;  // doomed packets were purged already
       buf.set_route(entry.dir());
       buf.set_next_class(entry.vc_class);
-    }
+    });
   }
 }
 
@@ -175,17 +170,18 @@ void Router::refresh_va_matrix(sim::Cycle now) const {
   va_matrix_at_ = now;
   for (RequestSet& row : va_matrix_) row.clear();
   va_matrix_classes_.clear();
-  const int num_vcs = config_.total_vcs();
+  const auto num_vcs = static_cast<std::size_t>(config_.total_vcs());
   for (int p = 0; p < ports_; ++p) {
     const auto& iu = inputs_[static_cast<std::size_t>(p)];
-    if (!iu || iu->busy_vcs() == 0) continue;
-    for (int v = 0; v < num_vcs; ++v) {
-      if (!iu->waiting_for_va(v, now)) continue;
-      const VcBuffer& buf = iu->vc(v);
+    if (!iu) continue;
+    // Only the pending heads; each must also have aged past the pipeline.
+    iu->pending_va().for_each([&](std::size_t v) {
+      const VcBuffer& buf = iu->vc(static_cast<int>(v));
+      if (!iu->flit_eligible(buf.front(), now)) return;
       const int out = static_cast<int>(buf.route());
-      va_matrix_.at(static_cast<std::size_t>(out)).set(static_cast<std::size_t>(p * num_vcs + v));
+      va_matrix_.at(static_cast<std::size_t>(out)).set(static_cast<std::size_t>(p) * num_vcs + v);
       va_matrix_classes_.set(va_class_bit(out, buf.front().vnet, buf.next_class()));
-    }
+    });
   }
 }
 
@@ -310,51 +306,45 @@ void Router::sa_st_stage(sim::Cycle now) {
   // SA readiness requires a non-empty (hence Active) VC: same O(ports)
   // idle skip as va_stage, equally side-effect-free.
   if (dead_ || !any_busy_input()) return;
-  const int num_vcs = config_.total_vcs();
 
-  // Phase 1: each input port nominates one ready VC (round-robin).
-  std::fill(sa_candidate_.begin(), sa_candidate_.end(), kInvalidVc);
+  // Phase 1: each input port nominates one ready VC among its routed ones
+  // (round-robin), filed under that VC's output port.
   for (int p = 0; p < ports_; ++p) {
     auto& iu = inputs_[static_cast<std::size_t>(p)];
     if (!iu) continue;
     sa_ready_.clear();
     bool any = false;
-    for (int v = 0; v < num_vcs; ++v) {
+    iu->routed().for_each([&](std::size_t i) {
+      const int v = static_cast<int>(i);
       const VcBuffer& buf = iu->vc(v);
-      if (!iu->has_output(v) || buf.empty() || !iu->flit_eligible(buf.front(), now)) continue;
+      if (buf.empty() || !iu->flit_eligible(buf.front(), now)) return;
       const Dir out = iu->out_port(v);
       if (!is_local(out)) {
         const auto& ou = outputs_[static_cast<std::size_t>(out)];
-        if (!ou || !ou->credit_view().can_send(iu->out_vc(v))) continue;
+        if (!ou || !ou->credit_view().can_send(iu->out_vc(v))) return;
       }
-      sa_ready_.set(static_cast<std::size_t>(v));
+      sa_ready_.set(i);
       any = true;
-    }
-    if (any) sa_candidate_[static_cast<std::size_t>(p)] = iu->sa_arbiter().peek(sa_ready_);
+    });
+    if (!any) continue;
+    const int v = iu->sa_arbiter().peek(sa_ready_);
+    const auto out = static_cast<std::size_t>(iu->out_port(v));
+    sa_candidate_[static_cast<std::size_t>(p)] = v;
+    sa_requests_[out].set(static_cast<std::size_t>(p));
+    sa_outputs_.set(out);
   }
 
-  // Phase 2: each output port grants one nominating input port.
-  for (int o = 0; o < ports_; ++o) {
-    auto& ou = outputs_[static_cast<std::size_t>(o)];
-    if (!ou) continue;
-    sa_port_requests_.clear();
-    bool any = false;
-    for (int p = 0; p < ports_; ++p) {
-      const int v = sa_candidate_[static_cast<std::size_t>(p)];
-      if (v == kInvalidVc) continue;
-      if (inputs_[static_cast<std::size_t>(p)]->out_port(v) == static_cast<Dir>(o)) {
-        sa_port_requests_.set(static_cast<std::size_t>(p));
-        any = true;
-      }
-    }
-    if (!any) continue;
-    const int port = ou->sa_arbiter().arbitrate(sa_port_requests_);
-    if (port < 0) continue;
+  // Phase 2: each requested output port, in ascending order, grants one
+  // nominating input port. An input nominates for one output only, so the
+  // per-output request sets are disjoint: one grant per input port per cycle.
+  sa_outputs_.for_each([&](std::size_t o) {
+    RequestSet& requests = sa_requests_[o];
+    const int port = outputs_[o]->sa_arbiter().arbitrate(requests);
+    requests.clear();
 
     // Switch + link traversal for the winner.
     InputUnit& iu = *inputs_[static_cast<std::size_t>(port)];
     const int vc = sa_candidate_[static_cast<std::size_t>(port)];
-    sa_candidate_[static_cast<std::size_t>(port)] = kInvalidVc;  // one grant per input port per cycle
     const int out_vc = iu.out_vc(vc);
     const Dir out = iu.out_port(vc);
     iu.sa_arbiter().advance_past(static_cast<std::size_t>(vc));
@@ -381,7 +371,8 @@ void Router::sa_st_stage(sim::Cycle now) {
     // Credit (and VC-free notification) back to the upstream entity.
     Channel<Credit>* credit_out = credit_out_[static_cast<std::size_t>(port)];
     if (credit_out != nullptr) credit_out->push(Credit{vc, tail}, now);
-  }
+  });
+  sa_outputs_.clear();
 }
 
 void Router::accept_arrivals(sim::Cycle now) {

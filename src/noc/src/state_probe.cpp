@@ -88,6 +88,7 @@ std::size_t InvariantChecker::check() {
   const std::size_t before = violations_.size();
   const sim::Cycle cycle = network_->clock().now();
   check_gated_buffers(cycle);
+  check_work_masks(cycle);
   check_shared_pools(cycle);
   check_credit_conservation(cycle);
   check_flit_conservation(cycle);
@@ -119,6 +120,30 @@ void InvariantChecker::check_gated_buffers(sim::Cycle cycle) {
           record(cycle, "flit(s) resident in gated buffer r" + std::to_string(id) + ":" +
                             dir_letter(port) + " vc" + std::to_string(v) + " (occupancy " +
                             std::to_string(buf.occupancy()) + ")");
+      }
+    }
+  }
+}
+
+void InvariantChecker::check_work_masks(sim::Cycle cycle) {
+  const NocConfig& cfg = network_->config();
+  for (NodeId id = 0; id < network_->num_routers(); ++id) {
+    const Router& r = network_->router(id);
+    for (int p = 0; p < r.num_ports(); ++p) {
+      const Dir port = static_cast<Dir>(p);
+      if (!r.has_input(port)) continue;
+      const InputUnit& iu = r.input(port);
+      for (int v = 0; v < cfg.total_vcs(); ++v) {
+        const auto bit = static_cast<std::size_t>(v);
+        const auto report = [&](const char* mask, bool kept) {
+          record(cycle, std::string("stale ") + mask + " mask on r" + std::to_string(id) + ":" +
+                            dir_letter(port) + " vc" + std::to_string(v) + ": bit " +
+                            (kept ? "1" : "0") + " but the VC state says " + (kept ? "0" : "1"));
+        };
+        if (const bool kept = iu.pending_va().test(bit); kept != iu.holds_unassigned_head(v))
+          report("pending_va", kept);
+        if (const bool kept = iu.routed().test(bit); kept != iu.has_output(v))
+          report("routed", kept);
       }
     }
   }

@@ -88,6 +88,10 @@ TEST(RequestSet, SetTestClearAny) {
   EXPECT_TRUE(set.test(69));
   EXPECT_FALSE(set.test(1));
   EXPECT_FALSE(set.test(64));
+  set.reset(63);  // clears one bit, leaves its word's others
+  EXPECT_FALSE(set.test(63));
+  EXPECT_TRUE(set.test(0));
+  EXPECT_TRUE(set.test(69));
   set.clear();
   EXPECT_FALSE(set.any());
   EXPECT_FALSE(set.test(63));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "nbtinoc/noc/router.hpp"
 
 namespace nbtinoc::noc {
@@ -22,6 +24,23 @@ Flit head(PacketId pkt) {
   f.packet = pkt;
   return f;
 }
+
+Flit flit_of(FlitType type, PacketId pkt, int vc) {
+  Flit f;
+  f.type = type;
+  f.packet = pkt;
+  f.vc = vc;
+  return f;
+}
+
+// The (pending_va, routed) bits of vc v, as a pair for one EXPECT_EQ.
+std::pair<bool, bool> masks(const InputUnit& iu, int v) {
+  return {iu.pending_va().test(static_cast<std::size_t>(v)),
+          iu.routed().test(static_cast<std::size_t>(v))};
+}
+constexpr std::pair<bool, bool> kNoWork{false, false};
+constexpr std::pair<bool, bool> kPending{true, false};
+constexpr std::pair<bool, bool> kRouted{false, true};
 
 TEST(InputUnit, Construction) {
   InputUnit iu(Dir::East, config());
@@ -84,6 +103,21 @@ TEST(InputUnit, NewTrafficTowardFiltersByRoute) {
   EXPECT_FALSE(router.has_new_traffic_toward(Dir::South, 6));
 }
 
+TEST(InputUnit, NewTrafficTowardWaitsForThePipeline) {
+  // Two extra pipeline stages: a head written at cycle 5 is pending at
+  // once but joins the VA request matrix only from cycle 8 (5 + 2 < now).
+  NocConfig c = config();
+  c.extra_pipeline_stages = 2;
+  sim::StatRegistry stats;
+  Router router(0, c, stats);
+  InputUnit& iu = router.input(Dir::Local);
+  iu.vc(1).allocate(3, 0);
+  iu.receive_flit(flit_of(FlitType::Head, 3, 1), Dir::North, 5);
+  EXPECT_TRUE(iu.pending_va().test(1));
+  for (const sim::Cycle now : {6, 7}) EXPECT_FALSE(router.has_new_traffic_toward(Dir::North, now));
+  EXPECT_TRUE(router.has_new_traffic_toward(Dir::North, 8));
+}
+
 TEST(InputUnit, AssignAndClearOutput) {
   InputUnit iu(Dir::East, config());
   iu.assign_output(2, Dir::South, 1);
@@ -92,6 +126,88 @@ TEST(InputUnit, AssignAndClearOutput) {
   EXPECT_EQ(iu.out_vc(2), 1);
   iu.clear_output(2);
   EXPECT_FALSE(iu.has_output(2));
+}
+
+// --- work masks: every transition, each against the VC-state recount -------
+
+TEST(InputUnit, WorkMasksFollowAPacketToACardinalPort) {
+  InputUnit iu(Dir::East, config());
+  iu.vc(2).allocate(7, 0);
+  EXPECT_EQ(masks(iu, 2), kNoWork);  // reserved, head not arrived
+  iu.receive_flit(flit_of(FlitType::Head, 7, 2), Dir::North, 5);
+  EXPECT_EQ(masks(iu, 2), kPending);  // pending even before it is VA-eligible
+  EXPECT_TRUE(iu.holds_unassigned_head(2));
+  iu.receive_flit(flit_of(FlitType::Body, 7, 2), Dir::North, 6);
+  EXPECT_EQ(masks(iu, 2), kPending);  // a body flit changes nothing
+
+  iu.assign_output(2, Dir::North, 1);
+  EXPECT_EQ(masks(iu, 2), kRouted);
+  iu.vc(2).pop();  // head leaves: the body flit fronts a routed VC
+  EXPECT_EQ(masks(iu, 2), kRouted);
+  iu.receive_flit(flit_of(FlitType::Tail, 7, 2), Dir::North, 7);
+  iu.vc(2).pop();
+  iu.vc(2).pop();  // tail leaves: the VC is Idle again
+  EXPECT_EQ(masks(iu, 2), kRouted);  // until SA releases the allocation
+  iu.clear_output(2);
+  EXPECT_EQ(masks(iu, 2), kNoWork);
+  for (const int v : {0, 1, 3}) EXPECT_EQ(masks(iu, v), kNoWork) << "vc " << v;
+}
+
+TEST(InputUnit, WorkMasksAssignToLocal) {
+  // Ejection is allocated at once (downstream VC 0): a single-flit packet
+  // goes pending -> routed -> nothing.
+  InputUnit iu(Dir::West, config());
+  iu.vc(0).allocate(4, 0);
+  iu.receive_flit(flit_of(FlitType::HeadTail, 4, 0), Dir::Local, 3);
+  EXPECT_EQ(masks(iu, 0), kPending);
+  iu.assign_output(0, Dir::Local, 0);
+  EXPECT_EQ(masks(iu, 0), kRouted);
+  EXPECT_FALSE(iu.holds_unassigned_head(0));
+  iu.vc(0).pop();
+  iu.clear_output(0);
+  EXPECT_EQ(masks(iu, 0), kNoWork);
+}
+
+TEST(InputUnit, WorkMasksClearedByPurge) {
+  InputUnit iu(Dir::North, config());
+  iu.vc(0).allocate(1, 0);
+  iu.receive_flit(flit_of(FlitType::Head, 1, 0), Dir::South, 2);  // pending
+  iu.vc(3).allocate(2, 0);
+  iu.receive_flit(flit_of(FlitType::Head, 2, 3), Dir::East, 2);
+  iu.assign_output(3, Dir::East, 0);  // routed
+  EXPECT_EQ(iu.purge_vc(0), 1);
+  EXPECT_EQ(iu.purge_vc(3), 1);
+  EXPECT_EQ(masks(iu, 0), kNoWork);
+  EXPECT_EQ(masks(iu, 3), kNoWork);
+  EXPECT_FALSE(iu.pending_va().any());
+  EXPECT_FALSE(iu.routed().any());
+}
+
+TEST(InputUnit, WorkMasksSurviveSaveLoadAndMove) {
+  // Mid-packet: vc 1 routed with a body flit at its front, vc 2 pending
+  // with a head, vc 0 reserved with nothing buffered yet. A load into a
+  // fresh unit rebuilds the masks from the VC state; a move carries them.
+  InputUnit iu(Dir::South, config());
+  iu.vc(0).allocate(8, 0);
+  iu.vc(1).allocate(9, 0);
+  iu.receive_flit(flit_of(FlitType::Head, 9, 1), Dir::West, 1);
+  iu.receive_flit(flit_of(FlitType::Body, 9, 1), Dir::West, 2);
+  iu.assign_output(1, Dir::West, 3);
+  iu.vc(1).pop();
+  iu.vc(2).allocate(10, 0);
+  iu.receive_flit(flit_of(FlitType::Head, 10, 2), Dir::Local, 3);
+
+  sim::SnapshotWriter w;
+  iu.save(w);
+  InputUnit restored(Dir::South, config());
+  sim::SnapshotReader r(w.data());
+  restored.load(r);
+  InputUnit moved(std::move(restored));
+  for (int v = 0; v < iu.num_vcs(); ++v) EXPECT_EQ(masks(moved, v), masks(iu, v)) << "vc " << v;
+  EXPECT_EQ(masks(moved, 0), kNoWork);
+  EXPECT_EQ(masks(moved, 1), kRouted);
+  EXPECT_EQ(masks(moved, 2), kPending);
+  EXPECT_TRUE(moved.waiting_for_va(2, 4));
 }
 
 TEST(InputUnit, GateCommandBaselineWakesEverything) {

@@ -157,6 +157,7 @@ TEST(InvariantChecker, DetectsDeadlock) {
   // router 0's East output feeds is allocated to a phantom packet that will
   // never release it, then a routed head flit waits at router 0 for a VA
   // grant that can never come. Resident flit, zero movement -> deadlock.
+  // The head is written through receive_flit, so VA sees it as waiting.
   const NodeId downstream = 1;  // east neighbor of router 0 in a 2x2 mesh
   auto& diu = net.router(downstream).input(Dir::West);
   for (int v = 0; v < diu.num_vcs(); ++v) diu.vc(v).allocate(/*packet=*/500 + v, 0);
@@ -167,13 +168,47 @@ TEST(InvariantChecker, DetectsDeadlock) {
   head.packet = 999;
   head.vc = 0;
   head.dst = 3;  // far corner: XY-routes East first
-  iu.vc(0).push(head);
-  iu.vc(0).set_route(Dir::East);
+  iu.receive_flit(head, Dir::East, net.clock().now());
   step_checked(net, checker, 200);
   bool deadlock_reported = false;
   for (const auto& v : checker.violations())
     if (v.what.find("deadlock") != std::string::npos) deadlock_reported = true;
   EXPECT_TRUE(deadlock_reported);
+}
+
+TEST(InvariantChecker, CatchesStaleWorkMasks) {
+  // VA and SA read each input unit's work masks, which only the unit's own
+  // events keep. Two heads at router 0's East input go around them: one is
+  // received into vc 0 and then popped out of band (its pending_va bit is
+  // left set), one is pushed into vc 1 behind receive_flit's back (its bit
+  // is never set).
+  Network net(mesh(2, 2));
+  InvariantChecker checker(net);
+  step_checked(net, checker, 10);
+  ASSERT_TRUE(checker.clean()) << checker.violations().front().what;
+  auto& iu = net.router(0).input(Dir::East);
+  const sim::Cycle now = net.clock().now();
+  Flit head;
+  head.type = FlitType::Head;
+  head.dst = 3;
+  head.packet = 900;
+  head.vc = 0;
+  iu.vc(0).allocate(head.packet, now);
+  iu.receive_flit(head, Dir::East, now);
+  iu.vc(0).pop();
+  head.packet = 901;
+  head.vc = 1;
+  iu.vc(1).allocate(head.packet, now);
+  iu.vc(1).push(head);
+  EXPECT_GT(checker.check(), 0u);
+  const auto reported = [&](const std::string& what) {
+    for (const auto& v : checker.violations())
+      if (v.what.find(what) != std::string::npos) return true;
+    return false;
+  };
+  EXPECT_TRUE(reported("stale pending_va mask on r0:E vc0: bit 1"));
+  EXPECT_TRUE(reported("stale pending_va mask on r0:E vc1: bit 0"));
+  EXPECT_FALSE(reported("stale routed mask"));
 }
 
 TEST(InvariantChecker, GatedBuffersStayEmptyUnderGating) {
