@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "nbtinoc/traffic/synthetic.hpp"
 
@@ -97,11 +98,14 @@ TEST(Trace, LoadMalformedThrows) {
 
 /// Writes `body` to a temp CSV and expects Trace::load to throw a message
 /// containing "<path>:<line>: <needle>" — the line-numbered actionable-error
-/// contract.
+/// contract. The file is named after the running test, so tests run in
+/// parallel never share it.
 void expect_load_error(const std::string& body, int line, const std::string& needle,
                        int num_nodes = 0) {
   const std::string path =
-      std::filesystem::temp_directory_path() / "nbtinoc_load_error_trace.csv";
+      std::filesystem::temp_directory_path() /
+      ("nbtinoc_" + std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+       ".csv");
   {
     std::ofstream out(path);
     out << body;
