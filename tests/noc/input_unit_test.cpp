@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "nbtinoc/noc/router.hpp"
@@ -266,6 +268,81 @@ TEST(InputUnit, GateCommandWakesKeptVc) {
   cmd.keep_vc = 3;
   iu.apply_gate_command(cmd, 7);
   EXPECT_TRUE(iu.vc(3).is_idle());
+}
+
+/// Expects apply_gate_command to reject `cmd` with a message naming `what`.
+void expect_malformed(InputUnit& iu, const GateCommand& cmd, const std::string& what) {
+  try {
+    iu.apply_gate_command(cmd, 1);
+    ADD_FAILURE() << "accepted a command with a bad " << what;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+TEST(InputUnit, GateCommandRejectsMalformedVcForm) {
+  InputUnit iu(Dir::East, config());  // 4 VCs
+  GateCommand cmd;
+  cmd.gating_active = true;
+  for (const int first : {-1, 4}) {
+    cmd.first_vc = first;
+    expect_malformed(iu, cmd, "first_vc " + std::to_string(first) + " outside port of 4 VCs");
+  }
+  cmd.first_vc = 0;
+  for (const int range : {0, -2}) {
+    cmd.range_vcs = range;
+    expect_malformed(iu, cmd, "range_vcs must be positive or -1");
+  }
+  // keep_vc is checked against the command's range, on both sides of it.
+  cmd.first_vc = 1;
+  cmd.range_vcs = 2;
+  cmd.enable = true;
+  for (const int keep : {0, 3}) {
+    cmd.keep_vc = keep;
+    expect_malformed(iu, cmd, "keep_vc " + std::to_string(keep) + " outside command range [1, 3)");
+  }
+  // Nothing was applied: every VC is still idle.
+  for (int v = 0; v < iu.num_vcs(); ++v) EXPECT_TRUE(iu.vc(v).is_idle()) << "vc " << v;
+}
+
+NocConfig shared_config() {
+  NocConfig c = config(2, 4);  // 8 slots, 6 of them shared
+  c.buffer_org = BufferOrg::kShared;
+  return c;
+}
+
+TEST(InputUnit, GateCommandRejectsMalformedSlotForm) {
+  InputUnit iu(Dir::East, shared_config());
+  GateCommand cmd;
+  cmd.gating_active = true;
+  for (const int first : {-1, 9}) {
+    cmd.first_vc = first;
+    expect_malformed(iu, cmd, "first slot " + std::to_string(first) + " outside pool of 8 slots");
+  }
+  cmd.first_vc = 0;
+  cmd.range_vcs = -2;
+  expect_malformed(iu, cmd, "slot range must be non-negative or -1");
+  cmd.range_vcs = -1;
+  cmd.enable = true;
+  for (const int slot : {-2, 8}) {
+    cmd.keep_vc = slot;
+    expect_malformed(iu, cmd, "wake slot " + std::to_string(slot) + " outside pool of 8 slots");
+  }
+  EXPECT_EQ(iu.pool()->gated_slots(), 0);
+}
+
+TEST(InputUnit, SlotBaselineWakesEveryGatedSlot) {
+  InputUnit iu(Dir::East, shared_config());
+  SharedBufferPool& pool = *iu.pool();
+  GateCommand gate_all;
+  gate_all.gating_active = true;
+  iu.apply_gate_command(gate_all, 1);
+  ASSERT_EQ(pool.gated_slots(), pool.shared_capacity());
+  // The baseline command wakes every gated slot, and nothing else.
+  iu.apply_gate_command(GateCommand{}, 2);
+  EXPECT_EQ(pool.gated_slots(), 0);
+  for (int s = 0; s < pool.num_slots(); ++s)
+    EXPECT_NE(pool.slot_state(s), SharedBufferPool::SlotState::kGated) << "slot " << s;
 }
 
 TEST(InputUnit, SyncStressTracksPowerState) {
