@@ -29,6 +29,13 @@ class RequestSet {
   void clear() {
     for (auto& w : words_) w = 0;
   }
+  /// Sets every index in [0, size()); the tail word's bits past size() stay
+  /// clear, so any() and for_each() see members only.
+  void set_all() {
+    for (auto& w : words_) w = ~std::uint64_t{0};
+    if (const std::size_t tail = size_ & 63; tail != 0)
+      words_.back() = (std::uint64_t{1} << tail) - 1;
+  }
   void set(std::size_t i) { words_[i >> 6] |= std::uint64_t{1} << (i & 63); }
   void reset(std::size_t i) { words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63)); }
   bool test(std::size_t i) const {

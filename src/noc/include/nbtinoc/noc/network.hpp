@@ -24,6 +24,7 @@
 #include <memory>
 #include <vector>
 
+#include "nbtinoc/noc/arbiter.hpp"
 #include "nbtinoc/noc/config.hpp"
 #include "nbtinoc/noc/gate.hpp"
 #include "nbtinoc/noc/network_interface.hpp"
@@ -163,6 +164,19 @@ class Network {
   /// the decide calls of a parked router is bit-exact.
   bool router_gating_fixed_point(NodeId id) const;
 
+  /// The at-rest test of input port `port` of router `id` at the cycle about
+  /// to execute (ARCHITECTURE.md §10, "Ports at rest"): the installed
+  /// controller has decided the port before and holds no decisions, no
+  /// control fault targets it, it sits at its gating fixed point, and no new
+  /// traffic heads toward it. The gating stage skips such a port.
+  bool port_at_rest(NodeId id, Dir port) const;
+  /// True when the gating stage passes `port` by without running the
+  /// at-rest test: under kActiveSet, with a controller that holds no
+  /// decisions and the router not fault-pinned, the port's bit in the
+  /// unsettled mask is clear. Every settled live port must be at rest;
+  /// the invariant checker audits that.
+  bool port_settled(NodeId id, Dir port) const;
+
   struct SchedulerStats {
     std::uint64_t cycles_executed = 0;  ///< active-set cycles actually stepped
     std::uint64_t router_steps = 0;     ///< sum over cycles of active routers
@@ -210,8 +224,21 @@ class Network {
   /// every port/vnet/class) — shared by the full walk and the active-set
   /// scheduler. A port at rest is skipped whole: its controller has decided
   /// it before, holds no decisions, no control fault targets it, it sits at
-  /// its gating fixed point, and no new traffic heads toward it.
+  /// its gating fixed point, and no new traffic heads toward it. On the
+  /// literal walk (literal_gating) every port is visited; otherwise only
+  /// the unsettled ones. Each visit records its verdict in unsettled_.
   void gating_stage_for(NodeId id, sim::Cycle now);
+  /// The at-rest test, with the controller's holds_decisions() and the
+  /// port's injector_for() passed in by the caller.
+  bool at_rest(NodeId id, Dir port, sim::Cycle now, bool holds,
+               const sim::FaultInjector* faults) const;
+  /// True when router `id`'s gating stage visits every port: outside
+  /// kActiveSet (the stepped reference), while the controller holds
+  /// decisions, and on a fault-pinned router.
+  bool literal_gating(NodeId id, bool holds) const {
+    return scheduler_mode_ != SchedulerMode::kActiveSet || holds ||
+           pinned_routers_[static_cast<std::size_t>(id)] != 0;
+  }
   /// The per-port clause of the gating fixed point, read by both the park
   /// test and the gating stage's skip: no VC busy, every (vnet, class)
   /// record of the port agrees, the port is all-gated under an active
@@ -253,8 +280,9 @@ class Network {
   void drain_wakes(sim::Cycle now);
   void wake_router_at(NodeId id, sim::Cycle at);
   void wake_ni_at(NodeId t, sim::Cycle at);
-  /// Park precondition beyond busy_vcs == 0 (checked by the caller): not
-  /// fault-pinned, inbound channels quiet, gating fixed point.
+  /// Park precondition beyond busy_vcs == 0 and no fault pin (checked by
+  /// the caller): inbound channels quiet, and every unsettled live port at
+  /// its gating fixed point (a settled port passed the whole at-rest test).
   bool router_park_eligible(NodeId id) const;
   void install_push_hooks();
   void remove_push_hooks();
@@ -326,6 +354,15 @@ class Network {
   /// the construction default), so the port cannot be at rest.
   /// set_gate_controller and load_state clear it; never serialized.
   std::vector<unsigned char> decided_;
+  /// Per port_index, read under kActiveSet off the literal walk: a clear
+  /// bit means the port passed the at-rest test at its last visit and no
+  /// event since could change the answer, so the gating stage and the park
+  /// test pass it by. Each visit writes its verdict. The events that can
+  /// end a rest set the bit: a head upstream waiting for VA toward the port
+  /// (wake rule W2), a non-idle NI behind a local port (W3), and — for
+  /// every port — a controller swap, a structural kill and entering
+  /// kActiveSet. Never serialized: load_state runs in kStepped.
+  RequestSet unsettled_;
 
   // --- active-set scheduler state --------------------------------------------
   sim::ActiveSet active_routers_;   ///< cycle about to execute

@@ -77,7 +77,10 @@ class PortStateProbe {
 /// busy input VC, gating at its fixed point, and no inbound link payload
 /// deliverable soon enough that skipping the component could change
 /// behavior. A parked component holding imminent work is the scheduler's
-/// one unforgivable bug, so it is reported as a violation here.
+/// one unforgivable bug, so it is reported as a violation here. In the same
+/// mode every *settled* live input port (Network::port_settled, which the
+/// gating stage passes by without a test) must pass the literal at-rest
+/// test (Network::port_at_rest).
 /// The checker is read-only and deterministic; it never perturbs the run.
 class InvariantChecker {
  public:
@@ -124,6 +127,8 @@ class InvariantChecker {
   void check_flit_conservation(sim::Cycle cycle);
   void check_deadlock(sim::Cycle cycle);
   void check_active_set(sim::Cycle cycle);
+  /// Every settled live input port against the literal at-rest test.
+  void check_settled_ports(sim::Cycle cycle);
 
   const Network* network_;
   Options options_;

@@ -87,6 +87,7 @@ Network::Network(NocConfig config) : config_(config), controller_(&baseline_cont
                             static_cast<std::size_t>(config_.vc_classes()),
                         0);
   decided_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(ports), 0);
+  unsettled_.resize(decided_.size());
 }
 
 void Network::set_gate_controller(IGateController* controller) {
@@ -94,6 +95,7 @@ void Network::set_gate_controller(IGateController* controller) {
   // The gating records are the old controller's: no port is at rest for the
   // new one until it has decided the port once.
   std::fill(decided_.begin(), decided_.end(), 0);
+  unsettled_.set_all();
   // Mid-run swap under the active-set scheduler: parked routers sit at the
   // *old* policy's gating fixed point — wake everything so each port
   // re-proves its fixed point against the new policy before re-parking.
@@ -198,23 +200,33 @@ void Network::gating_stage() {
 }
 
 void Network::gating_stage_for(NodeId id, sim::Cycle now) {
-  const int ports = config_.ports_per_router();
   const int num_classes = config_.vc_classes();
   Router& r = router(id);
   if (r.dead()) return;  // structurally killed: no gating, no commands
   const bool holds = controller_->holds_decisions();
-  for (int p = 0; p < ports; ++p) {
-    const Dir port = static_cast<Dir>(p);
-    if (!r.has_input(port) || r.input_port_dead(port)) continue;
+  // Off the literal walk only the unsettled ports are candidates: a settled
+  // one passed the at-rest test at its last visit, and none of the events
+  // that set its bit has happened since.
+  const bool literal = literal_gating(id, holds);
+  const std::size_t base = port_index(id, static_cast<Dir>(0));
+  const std::size_t end = base + static_cast<std::size_t>(config_.ports_per_router());
+  for (std::size_t i = literal ? base : unsettled_.find_next(base, end); i < end;
+       i = literal ? i + 1 : unsettled_.find_next(i + 1, end)) {
+    const Dir port = static_cast<Dir>(i - base);
+    if (!r.has_input(port) || r.input_port_dead(port)) {
+      unsettled_.reset(i);  // nothing to decide, ever
+      continue;
+    }
     sim::FaultInjector* port_injector = injector_for(id, port);
     // A port at rest: every policy would return the command that changes
     // nothing (ARCHITECTURE.md §10), the controller keeps no state the call
     // would move, and no fault RNG draw is due — skip decide and delivery.
-    unsigned char& decided = decided_[port_index(id, port)];
-    if (decided != 0 && !holds && port_injector == nullptr && port_gating_fixed_point(id, port) &&
-        !new_traffic_toward(id, port, now))
+    if (at_rest(id, port, now, holds, port_injector)) {
+      unsettled_.reset(i);
       continue;
-    decided = 1;
+    }
+    unsettled_.set(i);
+    decided_[i] = 1;
     if (config_.shared_buffers()) {
       // Shared organization: gating is slot-granular and the pool is one
       // physical resource, so the pre-VA policy decides once per *port*
@@ -334,9 +346,11 @@ void Network::set_scheduler_mode(SchedulerMode mode) {
     return;
   }
   install_push_hooks();
-  // Everything starts live; the first retire pass parks what it can.
+  // Everything starts live; the first retire pass parks what it can. The
+  // stepped walk ran no retire pass, so no port counts as settled.
   active_routers_.insert_all();
   active_nis_.insert_all();
+  unsettled_.set_all();
   for (auto& set : wake_routers_) set.clear();
   for (auto& set : wake_nis_) set.clear();
   wake_heap_.clear();
@@ -441,19 +455,22 @@ void Network::retire_active_cycle(sim::Cycle now, sim::Cycle end) {
     Router& r = *routers_[static_cast<std::size_t>(id)];
     if (r.any_busy_input()) {
       // Wake only the neighbors a head waits for VA toward next cycle: that
-      // head is the neighbor's new-traffic signal, and only it can be
-      // granted one of the neighbor's input VCs. The inputs are final for
-      // the cycle, so this read builds the matrix the next cycle's gating
-      // stage and VA read. Flits and credits wake their receivers through
-      // the push hooks. Held decisions are refreshed at every port of a
-      // stepped router and serialized, so a controller holding them keeps
-      // every neighbor live, as it keeps the per-port skip off.
+      // head is the new-traffic signal of the neighbor's facing port, which
+      // it therefore unsettles, and only it can be granted one of that
+      // port's VCs. The inputs are final for the cycle, so this read builds
+      // the matrix the next cycle's gating stage and VA read. Flits and
+      // credits wake their receivers through the push hooks. Held decisions
+      // are refreshed at every port of a stepped router and serialized, so
+      // a controller holding them keeps every neighbor live, as it keeps
+      // the per-port skip off.
       wake_routers_[0].insert(id);
       for (int d = 0; d < 4; ++d) {
         const Dir dir = static_cast<Dir>(d);
         const NodeId nb = topo_->neighbor(id, dir);
-        if (nb != kInvalidNode && (holds || r.has_new_traffic_toward(dir, now + 1)))
+        if (nb != kInvalidNode && (holds || r.has_new_traffic_toward(dir, now + 1))) {
           wake_routers_[0].insert(nb);
+          unsettled_.set(port_index(nb, opposite(dir)));
+        }
       }
       return;
     }
@@ -467,9 +484,12 @@ void Network::retire_active_cycle(sim::Cycle now, sim::Cycle end) {
     if (terminal.dead()) return;
     if (!terminal.idle()) {
       // A non-idle NI asserts has_new_traffic for — and allocates VCs of —
-      // its router's local input port: both must stay live.
+      // its router's local input port: both must stay live, and the port
+      // unsettled.
+      const NodeId home = topo_->router_of(t);
       wake_nis_[0].insert(t);
-      wake_routers_[0].insert(topo_->router_of(t));
+      wake_routers_[0].insert(home);
+      unsettled_.set(port_index(home, topo_->local_port_of(t)));
       return;
     }
     // On a segment's last cycle an idle NI stays active rather than
@@ -502,7 +522,20 @@ void Network::retire_active_cycle(sim::Cycle now, sim::Cycle end) {
 bool Network::router_park_eligible(NodeId id) const {
   const Router& r = *routers_[static_cast<std::size_t>(id)];
   if (!r.inbound_links_quiet()) return false;
-  return router_gating_fixed_point(id);
+  if (r.dead()) return true;
+  // router_gating_fixed_point over the unsettled ports only: a settled port
+  // passed the whole at-rest test, its fixed point included, and nothing
+  // since has moved it. The gating stage just visited every port of a
+  // router on the literal walk and left each that failed the test set.
+  const std::size_t base = port_index(id, static_cast<Dir>(0));
+  const std::size_t end = base + static_cast<std::size_t>(r.num_ports());
+  for (std::size_t i = unsettled_.find_next(base, end); i < end;
+       i = unsettled_.find_next(i + 1, end)) {
+    const Dir port = static_cast<Dir>(i - base);
+    if (!r.has_input(port) || r.input_port_dead(port)) continue;
+    if (!port_gating_fixed_point(id, port)) return false;
+  }
+  return true;
 }
 
 bool Network::router_gating_fixed_point(NodeId id) const {
@@ -545,6 +578,21 @@ bool Network::port_gating_fixed_point(NodeId id, Dir port) const {
 bool Network::new_traffic_toward(NodeId id, Dir port, sim::Cycle now) const {
   if (is_local(port)) return ni(topo_->terminal_of(id, local_slot(port))).has_new_traffic(now);
   return router(topo_->neighbor(id, port)).has_new_traffic_toward(opposite(port), now);
+}
+
+bool Network::at_rest(NodeId id, Dir port, sim::Cycle now, bool holds,
+                      const sim::FaultInjector* faults) const {
+  return decided_[port_index(id, port)] != 0 && !holds && faults == nullptr &&
+         port_gating_fixed_point(id, port) && !new_traffic_toward(id, port, now);
+}
+
+bool Network::port_at_rest(NodeId id, Dir port) const {
+  return at_rest(id, port, clock_.now(), controller_->holds_decisions(), injector_for(id, port));
+}
+
+bool Network::port_settled(NodeId id, Dir port) const {
+  return !literal_gating(id, controller_->holds_decisions()) &&
+         !unsettled_.test(port_index(id, port));
 }
 
 void Network::run_with_warmup(sim::Cycle warmup, sim::Cycle measure) {
@@ -840,10 +888,12 @@ void Network::purge_after_kill(sim::Cycle now) {
 
   // --- 8. active-set mode: the world changed — wake everything ---------------
   // Components with no work re-park at the next retire pass; a stale park
-  // decision made against the pre-kill fabric must not survive.
+  // decision or settled port judged against the pre-kill fabric must not
+  // survive.
   if (scheduler_mode_ == SchedulerMode::kActiveSet) {
     active_routers_.insert_all();
     active_nis_.insert_all();
+    unsettled_.set_all();
   }
 }
 

@@ -93,7 +93,10 @@ std::size_t InvariantChecker::check() {
   check_credit_conservation(cycle);
   check_flit_conservation(cycle);
   check_deadlock(cycle);
-  if (network_->scheduler_mode() == SchedulerMode::kActiveSet) check_active_set(cycle);
+  if (network_->scheduler_mode() == SchedulerMode::kActiveSet) {
+    check_active_set(cycle);
+    check_settled_ports(cycle);
+  }
   ++cycles_checked_;
   return violations_.size() - before;
 }
@@ -386,6 +389,22 @@ void InvariantChecker::check_active_set(sim::Cycle cycle) {
     if (has_payload_due(ni.credit_link(), cycle) || has_payload_due(ni.eject_link(), cycle))
       record(cycle,
              "active-set: parked NI " + std::to_string(t) + " has a deliverable inbound payload");
+  }
+}
+
+void InvariantChecker::check_settled_ports(sim::Cycle cycle) {
+  // A settled port is passed by without a test, so one that is not at rest
+  // would miss a decision the literal walk makes this cycle.
+  for (NodeId id = 0; id < network_->num_routers(); ++id) {
+    const Router& r = network_->router(id);
+    if (r.dead()) continue;
+    for (int p = 0; p < r.num_ports(); ++p) {
+      const Dir port = static_cast<Dir>(p);
+      if (!r.has_input(port) || r.input_port_dead(port)) continue;
+      if (network_->port_settled(id, port) && !network_->port_at_rest(id, port))
+        record(cycle, "settled port r" + std::to_string(id) + ":" + dir_letter(port) +
+                          " is not at rest: the gating stage would skip its decision");
+    }
   }
 }
 

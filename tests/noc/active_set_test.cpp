@@ -451,6 +451,45 @@ TEST(ActiveSetOracle, ModeRoundTripKeepsStepping) {
   run_lockstep(stepped.net, active.net, 400, "round-trip-reentry");
 }
 
+TEST(ActiveSetOracle, SwapsAndReentriesAfterPortsSettleMatchStepped) {
+  // Under load many ports settle, and the gating stage then passes them by
+  // untested. A controller swap and a re-entry into the active set must
+  // each unsettle every port: the new controller has decided none of them,
+  // and a stepped stretch runs no retire pass to flag the heads that reach
+  // a port. Both events recur through a loaded run, each at a cycle where
+  // ports have settled; a stepped twin pins equality throughout.
+  ScenarioSpec s;
+  s.width = 4;
+  s.rate = 0.05;
+  Twin stepped(s);
+  Twin active(s);
+  active.net.set_scheduler_mode(SchedulerMode::kActiveSet);
+  run_lockstep(stepped.net, active.net, 200, "settle");
+  const auto settled_ports = [&active] {
+    int settled = 0;
+    for (NodeId id = 0; id < active.net.num_routers(); ++id)
+      for (int p = 0; p < kNumDirs; ++p) {
+        const Dir port = static_cast<Dir>(p);
+        settled += active.net.router(id).has_input(port) && active.net.port_settled(id, port);
+      }
+    return settled;
+  };
+  for (int round = 0; round < 48; ++round) {
+    const std::string label = "round " + std::to_string(round);
+    ASSERT_GT(settled_ports(), 0) << label;
+    if (round % 2 == 0) {
+      // Alternate the baseline and the sensor-wise controller.
+      for (Twin* twin : {&stepped, &active})
+        twin->net.set_gate_controller(round % 4 == 0 ? nullptr : &twin->ctrl);
+    } else {
+      active.net.set_scheduler_mode(SchedulerMode::kStepped);
+      run_lockstep(stepped.net, active.net, 3, label + " stepped");
+      active.net.set_scheduler_mode(SchedulerMode::kActiveSet);
+    }
+    run_lockstep(stepped.net, active.net, 41, label);
+  }
+}
+
 /// Offers one packet at cycle `when`, and nothing else.
 class OnePacketSource final : public ITrafficSource {
  public:

@@ -97,6 +97,21 @@ TEST(RequestSet, SetTestClearAny) {
   EXPECT_FALSE(set.test(63));
 }
 
+TEST(RequestSet, SetAllMasksTheTailWord) {
+  for (const std::size_t size : {std::size_t{64}, std::size_t{70}}) {
+    RequestSet set(size);
+    set.set_all();
+    std::size_t members = 0;
+    set.for_each([&](std::size_t i) {
+      EXPECT_LT(i, size);
+      ++members;
+    });
+    EXPECT_EQ(members, size);
+    EXPECT_EQ(set.find_next(0, size), 0u);
+    EXPECT_EQ(set.find_next(size - 1, size), size - 1);
+  }
+}
+
 // The two overloads must grant identically: the RequestSet path replaced the
 // vector<bool> path in the router stages, and its word-level cyclic find must
 // not change arbitration. Sizes cross the 64-bit word boundaries, pointers

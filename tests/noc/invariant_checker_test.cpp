@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "nbtinoc/noc/network.hpp"
@@ -209,6 +211,44 @@ TEST(InvariantChecker, CatchesStaleWorkMasks) {
   EXPECT_TRUE(reported("stale pending_va mask on r0:E vc0: bit 1"));
   EXPECT_TRUE(reported("stale pending_va mask on r0:E vc1: bit 0"));
   EXPECT_FALSE(reported("stale routed mask"));
+}
+
+TEST(InvariantChecker, CatchesASettledPortChangedOutOfBand) {
+  // Under the active set the gating stage passes a settled port by without
+  // its at-rest test. A VC gated behind the baseline controller's back takes
+  // a settled port off its all-idle fixed point, which the literal walk
+  // would restore by waking the VC; the audit must see the port is no
+  // longer at rest.
+  Network net(mesh(3, 3));
+  traffic::install_synthetic_traffic(net, traffic::PatternKind::kUniform, 0.1, /*seed=*/42);
+  net.set_scheduler_mode(SchedulerMode::kActiveSet);
+  InvariantChecker checker(net);
+  const auto find_settled = [&net]() -> std::pair<NodeId, Dir> {
+    for (NodeId id = 0; id < net.num_routers(); ++id)
+      for (int p = 0; p < kNumDirs; ++p) {
+        const Dir port = static_cast<Dir>(p);
+        if (net.router(id).has_input(port) && net.port_settled(id, port)) return {id, port};
+      }
+    return {kInvalidNode, Dir::Local};
+  };
+  std::pair<NodeId, Dir> settled{kInvalidNode, Dir::Local};
+  for (int cycle = 0; cycle < 1'000 && settled.first == kInvalidNode; ++cycle) {
+    step_checked(net, checker, 1);
+    settled = find_settled();
+  }
+  ASSERT_TRUE(checker.clean()) << checker.violations().front().what;
+  ASSERT_NE(settled.first, kInvalidNode) << "no port ever settled";
+  const auto [id, port] = settled;
+  ASSERT_TRUE(net.port_at_rest(id, port));
+  net.router(id).input(port).vc(0).gate(net.clock().now());
+  EXPECT_FALSE(net.port_at_rest(id, port));
+  EXPECT_GT(checker.check(), 0u);
+  const std::string expected = "settled port r" + std::to_string(id) + ":" + dir_letter(port) +
+                               " is not at rest";
+  bool reported = false;
+  for (const auto& v : checker.violations())
+    reported |= v.what.find(expected) != std::string::npos;
+  EXPECT_TRUE(reported) << expected;
 }
 
 TEST(InvariantChecker, GatedBuffersStayEmptyUnderGating) {
